@@ -64,13 +64,11 @@ const genSpeedupFloor = 1.3
 
 func guardEngine(t *testing.T, name string) diffrun.Engine {
 	t.Helper()
-	for _, e := range diffrun.Engines() {
-		if e.Name == name {
-			return e
-		}
+	e, ok := diffrun.Lookup(name)
+	if !ok {
+		t.Fatalf("unknown guard engine %q", name)
 	}
-	t.Fatalf("unknown guard engine %q", name)
-	return diffrun.Engine{}
+	return e
 }
 
 // measureMcps returns the best-of-reps simulation rate of one engine on
@@ -128,7 +126,7 @@ func measureTparMcps(t *testing.T, engine, kernel string) float64 {
 		t.Fatal(err)
 	}
 	opt := tpar.Options{Segments: 4, Mode: tpar.Sampled,
-		Warm: tpar.DefaultWarm(engine), MinSegment: 256}
+		Warm: e.Warm(diffrun.Config{}), MinSegment: 256}
 	best := 0.0
 	for rep := 0; rep < benchGuardReps; rep++ {
 		// The time-parallel path allocates much more than a plain engine

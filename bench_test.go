@@ -19,15 +19,15 @@ package rcpn
 // cmd/experiments prints the same data in the paper's table form.
 
 import (
+	"fmt"
 	"testing"
 
 	"rcpn/internal/arm"
 	"rcpn/internal/core"
 	"rcpn/internal/cpn"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
@@ -40,43 +40,25 @@ type simResult struct {
 	instret uint64
 }
 
-// simulators maps the Figure 10 bar names to runners.
-func simulators() map[string]func(p *arm.Program) (simResult, error) {
-	return map[string]func(p *arm.Program) (simResult, error){
-		"SimpleScalar-Arm": func(p *arm.Program) (simResult, error) {
-			s := ssim.New(p, ssim.Config{})
-			err := s.Run(0)
-			return simResult{s.Cycles, s.Instret}, err
-		},
-		"RCPN-XScale": func(p *arm.Program) (simResult, error) {
-			m := machine.NewXScale(p, machine.Config{})
-			err := m.Run(0)
-			return simResult{m.Net.CycleCount(), m.Instret}, err
-		},
-		"RCPN-StrongARM": func(p *arm.Program) (simResult, error) {
-			m := machine.NewStrongARM(p, machine.Config{})
-			err := m.Run(0)
-			return simResult{m.Net.CycleCount(), m.Instret}, err
-		},
-		"hand-written-5stage": func(p *arm.Program) (simResult, error) {
-			s := pipe5.New(p, pipe5.Config{})
-			err := s.Run(0)
-			return simResult{s.Cycles, s.Instret}, err
-		},
+// runEngine simulates p to completion on a fresh default instance of e.
+func runEngine(e diffrun.Engine, p *arm.Program) (simResult, error) {
+	st, _, err := e.Build(p)
+	if err != nil {
+		return simResult{}, err
 	}
-}
-
-var fig10Order = []string{
-	"SimpleScalar-Arm", "RCPN-XScale", "RCPN-StrongARM", "hand-written-5stage",
+	exited, err := st.StepTo(1 << 40)
+	if err == nil && !exited {
+		err = fmt.Errorf("%s: no exit", e.Name)
+	}
+	c, i := st.Progress()
+	return simResult{c, i}, err
 }
 
 // BenchmarkFig10 regenerates Figure 10: simulation performance in million
 // simulated cycles per host second, per simulator per benchmark.
 func BenchmarkFig10(b *testing.B) {
-	sims := simulators()
-	for _, simName := range fig10Order {
-		run := sims[simName]
-		b.Run(simName, func(b *testing.B) {
+	for _, e := range diffrun.CycleAccurate() {
+		b.Run(e.Name, func(b *testing.B) {
 			for _, w := range workload.All() {
 				p, err := w.Program(benchScale)
 				if err != nil {
@@ -85,7 +67,7 @@ func BenchmarkFig10(b *testing.B) {
 				b.Run(w.Name, func(b *testing.B) {
 					var cycles int64
 					for i := 0; i < b.N; i++ {
-						r, err := run(p)
+						r, err := runEngine(e, p)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -101,10 +83,9 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates Figure 11: CPI of the StrongARM-class cycle
 // simulators (reported as the "CPI" metric; deterministic per benchmark).
 func BenchmarkFig11(b *testing.B) {
-	sims := simulators()
-	for _, simName := range []string{"SimpleScalar-Arm", "RCPN-StrongARM"} {
-		run := sims[simName]
-		b.Run(simName, func(b *testing.B) {
+	for _, name := range []string{"ssim", "strongarm"} {
+		e, _ := diffrun.Lookup(name)
+		b.Run(name, func(b *testing.B) {
 			for _, w := range workload.All() {
 				p, err := w.Program(benchScale)
 				if err != nil {
@@ -113,7 +94,7 @@ func BenchmarkFig11(b *testing.B) {
 				b.Run(w.Name, func(b *testing.B) {
 					var last simResult
 					for i := 0; i < b.N; i++ {
-						r, err := run(p)
+						r, err := runEngine(e, p)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -318,24 +299,23 @@ func BenchmarkAssemble(b *testing.B) {
 // TestBenchmarkHarnessSmoke keeps the harness itself covered by `go test`:
 // every simulator must run every workload at the bench scale.
 func TestBenchmarkHarnessSmoke(t *testing.T) {
-	sims := simulators()
 	p, err := workload.ByName("crc").Program(benchScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref *simResult
-	for _, name := range fig10Order {
-		r, err := sims[name](p)
+	for _, e := range diffrun.CycleAccurate() {
+		r, err := runEngine(e, p)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		if r.instret == 0 || r.cycles == 0 {
-			t.Fatalf("%s: empty result %+v", name, r)
+			t.Fatalf("%s: empty result %+v", e.Name, r)
 		}
 		if ref == nil {
 			ref = &r
 		} else if r.instret != ref.instret {
-			t.Errorf("%s: instret %d, want %d", name, r.instret, ref.instret)
+			t.Errorf("%s: instret %d, want %d", e.Name, r.instret, ref.instret)
 		}
 	}
 }

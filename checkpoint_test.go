@@ -19,90 +19,53 @@ import (
 	"testing"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/bpred"
+	"rcpn/internal/batch"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
-// csim wraps one cycle simulator instance behind uniform closures.
-type csim struct {
-	runN     func(n uint64) error
-	run      func() error
-	cycles   func() int64
-	instret  func() uint64
-	snapshot func() (*ckpt.Checkpoint, error)
-	restore  func(*ckpt.Checkpoint) error
-	state    func() diffrun.State
+// runLimit bounds no run in these tests.
+const runLimit = int64(1) << 40
+
+// runTo runs st until at least target instructions have retired and then
+// drains it to a checkpointable boundary.
+func runTo(t *testing.T, st batch.CheckpointStepper, target uint64) {
+	t.Helper()
+	if _, err := st.StepToRetired(target, runLimit); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DrainBoundary(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// cycleSims returns a builder per simulator; each call builds a fresh
-// instance on p.
-func cycleSims() map[string]func(p *arm.Program) *csim {
-	return map[string]func(p *arm.Program) *csim{
-		"strongarm": func(p *arm.Program) *csim {
-			m := machine.NewStrongARM(p, machine.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return m.RunN(n, 0) },
-				run:      func() error { return m.Run(0) },
-				cycles:   func() int64 { return m.Net.CycleCount() },
-				instret:  func() uint64 { return m.Instret },
-				snapshot: m.Checkpoint,
-				restore:  m.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-				},
-			}
-		},
-		"xscale": func(p *arm.Program) *csim {
-			m := machine.NewXScale(p, machine.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return m.RunN(n, 0) },
-				run:      func() error { return m.Run(0) },
-				cycles:   func() int64 { return m.Net.CycleCount() },
-				instret:  func() uint64 { return m.Instret },
-				snapshot: m.Checkpoint,
-				restore:  m.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-				},
-			}
-		},
-		"pipe5": func(p *arm.Program) *csim {
-			s := pipe5.New(p, pipe5.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return s.RunN(n, 0) },
-				run:      func() error { return s.Run(0) },
-				cycles:   func() int64 { return s.Cycles },
-				instret:  func() uint64 { return s.Instret },
-				snapshot: s.Checkpoint,
-				restore:  s.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(func(r arm.Reg) uint32 { return s.R[r] },
-						s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
-				},
-			}
-		},
-		"ssim": func(p *arm.Program) *csim {
-			s := ssim.New(p, ssim.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return s.RunN(n, 0) },
-				run:      func() error { return s.Run(0) },
-				cycles:   func() int64 { return s.Cycles },
-				instret:  func() uint64 { return s.Instret },
-				snapshot: s.Checkpoint,
-				restore:  s.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
-				},
-			}
-		},
+// finish runs st to program exit.
+func finish(t *testing.T, st batch.CheckpointStepper) {
+	t.Helper()
+	if exited, err := st.StepTo(runLimit); err != nil || !exited {
+		t.Fatalf("run to exit: exited=%v err=%v", exited, err)
 	}
+}
+
+func build(t *testing.T, e diffrun.Engine, p *arm.Program) (batch.CheckpointStepper, func() diffrun.State) {
+	t.Helper()
+	st, state, err := e.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, state
+}
+
+func snapshot(t *testing.T, st batch.CheckpointStepper) *ckpt.Checkpoint {
+	t.Helper()
+	ck, err := st.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
 }
 
 // TestBitExactResume: donor runs N instructions, checkpoints at the drained
@@ -115,57 +78,48 @@ func TestBitExactResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, build := range cycleSims() {
-			t.Run(name+"/"+wname, func(t *testing.T) {
-				donor := build(p)
-				if err := donor.runN(5000); err != nil {
-					t.Fatal(err)
-				}
-				boundaryCycles := donor.cycles()
-				boundaryInstret := donor.instret()
-				ck, err := donor.snapshot()
+		for _, e := range diffrun.CycleAccurate() {
+			t.Run(e.Name+"/"+wname, func(t *testing.T) {
+				donor, donorState := build(t, e, p)
+				runTo(t, donor, 5000)
+				boundaryCycles, boundaryInstret := donor.Progress()
+				data, err := snapshot(t, donor).Bytes()
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, err := ck.Bytes()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := donor.run(); err != nil {
-					t.Fatal(err)
-				}
-				afterCycles := donor.cycles() - boundaryCycles
-				afterInstret := donor.instret() - boundaryInstret
+				finish(t, donor)
+				donorCycles, donorInstret := donor.Progress()
+				afterCycles := donorCycles - boundaryCycles
+				afterInstret := donorInstret - boundaryInstret
 
 				decoded, err := ckpt.FromBytes(data)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed := build(p)
-				if err := resumed.restore(decoded); err != nil {
+				resumed, resumedState := build(t, e, p)
+				if err := resumed.Restore(decoded); err != nil {
 					t.Fatal(err)
 				}
-				if got := resumed.instret(); got != boundaryInstret {
+				if _, got := resumed.Progress(); got != boundaryInstret {
 					t.Fatalf("restored instret %d, boundary %d", got, boundaryInstret)
 				}
-				if err := resumed.run(); err != nil {
-					t.Fatal(err)
+				finish(t, resumed)
+				gotCycles, gotInstret := resumed.Progress()
+				if gotCycles != afterCycles {
+					t.Errorf("post-handoff cycles %d, donor %d — timing not bit-exact", gotCycles, afterCycles)
 				}
-				if got := resumed.cycles(); got != afterCycles {
-					t.Errorf("post-handoff cycles %d, donor %d — timing not bit-exact", got, afterCycles)
-				}
-				if got := resumed.instret() - boundaryInstret; got != afterInstret {
+				if got := gotInstret - boundaryInstret; got != afterInstret {
 					t.Errorf("post-handoff instret %d, donor %d", got, afterInstret)
 				}
-				diffState(t, name+"(resumed)", resumed.state(), donor.state())
+				diffState(t, e.Name+"(resumed)", resumedState(), donorState())
 			})
 		}
 	}
 }
 
-// TestISSHandoff: fast-forward on the functional ISS with warming, hand the
-// checkpoint to every detailed model, run to completion; the final
-// architectural state must match the ISS golden run.
+// TestISSHandoff: fast-forward on the functional ISS with each engine's
+// warm policy, hand the checkpoint to every detailed model, run to
+// completion; the final architectural state must match the ISS golden run.
 func TestISSHandoff(t *testing.T) {
 	p, err := workload.ByName("crc").Program(1)
 	if err != nil {
@@ -178,51 +132,32 @@ func TestISSHandoff(t *testing.T) {
 	ref := diffrun.StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
 		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
 
-	warms := map[string]func(c *iss.CPU){
-		"strongarm": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-		"xscale": func(c *iss.CPU) {
-			h := mem.DefaultXScale()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewBimodal(128)
-		},
-		"pipe5": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-		"ssim": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-	}
-	for name, build := range cycleSims() {
-		t.Run(name, func(t *testing.T) {
+	for _, e := range diffrun.CycleAccurate() {
+		t.Run(e.Name, func(t *testing.T) {
 			ff := iss.New(p, 0)
-			warms[name](ff)
+			e.Warm(diffrun.Config{})(ff)
 			if _, err := ff.RunN(5000); err != nil {
 				t.Fatal(err)
 			}
-			ck := ff.Checkpoint()
+			ck := snapshot(t, ff)
 			if ck.ICache == nil || ck.DCache == nil {
 				t.Fatal("functional warming produced no cache state")
 			}
-			s := build(p)
-			if err := s.restore(ck); err != nil {
+			s, state := build(t, e, p)
+			if err := s.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.run(); err != nil {
-				t.Fatal(err)
-			}
-			diffState(t, name, s.state(), ref)
+			finish(t, s)
+			diffState(t, e.Name, state(), ref)
 		})
 	}
 }
 
 // TestSampledCPIAccuracy: the sampled-simulation estimate (pooled over K
-// checkpointed intervals with functional warming) must land within a
-// documented bound of the full-run CPI. The bound is deliberately loose —
-// K=4 tiny intervals on a tiny kernel — the point is methodological sanity,
+// checkpointed intervals, fast-forwarded on the ISS with the engine's own
+// warm policy) must land within a documented bound of the full-run CPI,
+// for every cycle-accurate engine. The bound is deliberately loose — K=4
+// tiny intervals on a tiny kernel — the point is methodological sanity,
 // not SMARTS-grade confidence intervals (EXPERIMENTS.md reports measured
 // errors of a few percent).
 func TestSampledCPIAccuracy(t *testing.T) {
@@ -242,37 +177,34 @@ func TestSampledCPIAccuracy(t *testing.T) {
 	}
 	total := golden.Instret
 
-	for _, name := range []string{"strongarm", "pipe5"} {
-		t.Run(name, func(t *testing.T) {
-			build := cycleSims()[name]
-			full := build(p)
-			if err := full.run(); err != nil {
-				t.Fatal(err)
-			}
-			fullCPI := float64(full.cycles()) / float64(full.instret())
+	for _, e := range diffrun.CycleAccurate() {
+		t.Run(e.Name, func(t *testing.T) {
+			full, _ := build(t, e, p)
+			finish(t, full)
+			fullC, fullI := full.Progress()
+			fullCPI := float64(fullC) / float64(fullI)
 
 			var cyc int64
 			var ins uint64
 			for i := 0; i < k; i++ {
 				ff := iss.New(p, 0)
-				h := mem.DefaultStrongARM()
-				ff.WarmI, ff.WarmD, ff.WarmPred = h.I, h.D, bpred.NewNotTaken()
+				e.Warm(diffrun.Config{})(ff)
 				if _, err := ff.RunN(total * uint64(i) / k); err != nil {
 					t.Fatal(err)
 				}
-				s := build(p)
-				if err := s.restore(ff.Checkpoint()); err != nil {
+				s, _ := build(t, e, p)
+				if err := s.Restore(snapshot(t, ff)); err != nil {
 					t.Fatal(err)
 				}
-				base := s.instret()
-				if err := s.runN(ilen); err != nil {
-					t.Fatal(err)
-				}
-				cyc += s.cycles()
-				ins += s.instret() - base
+				_, base := s.Progress()
+				runTo(t, s, base+ilen)
+				c, n := s.Progress()
+				cyc += c
+				ins += n - base
 			}
 			sampled := float64(cyc) / float64(ins)
 			errPct := 100 * math.Abs(sampled-fullCPI) / fullCPI
+			t.Logf("sampled CPI %.3f vs full %.3f: error %.2f%%", sampled, fullCPI, errPct)
 			if errPct > bound {
 				t.Errorf("sampled CPI %.3f vs full %.3f: error %.1f%% exceeds %v%%",
 					sampled, fullCPI, errPct, bound)
@@ -289,10 +221,10 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, build := range cycleSims() {
-		s := build(p)
-		if _, err := s.snapshot(); err != nil {
-			t.Errorf("%s: fresh simulator not checkpointable: %v", name, err)
+	for _, e := range diffrun.CycleAccurate() {
+		s, _ := build(t, e, p)
+		if _, err := s.Checkpoint(); err != nil {
+			t.Errorf("%s: fresh simulator not checkpointable: %v", e.Name, err)
 		}
 	}
 	// A warm snapshot from mismatched cache geometry must be refused.
@@ -302,8 +234,9 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 	if _, err := ff.RunN(100); err != nil {
 		t.Fatal(err)
 	}
-	m := machine.NewStrongARM(p, machine.Config{})
-	if err := m.Restore(ff.Checkpoint()); err == nil {
+	sa, _ := diffrun.Lookup("strongarm")
+	m, _ := build(t, sa, p)
+	if err := m.Restore(snapshot(t, ff)); err == nil {
 		t.Error("geometry-mismatched warm state restored without error")
 	}
 }

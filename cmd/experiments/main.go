@@ -1,8 +1,11 @@
 // Command experiments regenerates the paper's evaluation (DATE 2005,
 // Reshadi & Dutt): Figure 10 (simulation performance in million cycles per
 // second for SimpleScalar-ARM vs the RCPN-generated XScale and StrongARM
-// simulators), Figure 11 (CPI of SimpleScalar-ARM vs RCPN-StrongARM), and
-// the ablation study quantifying each §4/§5 engine optimization.
+// simulators, plus every other cycle-accurate engine in the registry:
+// ARM9, the hand-written five-stage pipe5 and the compiled genpipe5 — the
+// paper's §5 claim that a generated simulator reaches hand-written speed),
+// Figure 11 (CPI of SimpleScalar-ARM vs RCPN-StrongARM), and the ablation
+// study quantifying each §4/§5 engine optimization.
 //
 // Usage:
 //
@@ -25,11 +28,10 @@ import (
 	"rcpn/internal/batch"
 	"rcpn/internal/core"
 	"rcpn/internal/cpn"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/ssim"
 	"rcpn/internal/stats"
 	"rcpn/internal/workload"
 )
@@ -74,38 +76,18 @@ func die(err error) {
 	os.Exit(1)
 }
 
-// runner abstracts the three measured simulators.
-type runner struct {
-	name string
-	run  func(p *arm.Program) (cycles int64, instret uint64, err error)
-}
-
-func runners() []runner {
-	return []runner{
-		{"SimpleScalar-Arm", func(p *arm.Program) (int64, uint64, error) {
-			s := ssim.New(p, ssim.Config{})
-			err := s.Run(0)
-			return s.Cycles, s.Instret, err
-		}},
-		{"RCPN-XScale", func(p *arm.Program) (int64, uint64, error) {
-			m := machine.NewXScale(p, machine.Config{})
-			err := m.Run(0)
-			return m.Net.CycleCount(), m.Instret, err
-		}},
-		{"RCPN-StrongARM", func(p *arm.Program) (int64, uint64, error) {
-			m := machine.NewStrongARM(p, machine.Config{})
-			err := m.Run(0)
-			return m.Net.CycleCount(), m.Instret, err
-		}},
-		// Extra, beyond the paper's three bars: a hand-written direct-style
-		// five-stage simulator, showing the generated RCPN simulator reaches
-		// hand-written performance (the paper's §5 FastSim comparison).
-		{"hand-written-5stage", func(p *arm.Program) (int64, uint64, error) {
-			s := pipe5.New(p, pipe5.Config{})
-			err := s.Run(0)
-			return s.Cycles, s.Instret, err
-		}},
+// run simulates p to completion on a fresh default instance of e.
+func run(e diffrun.Engine, p *arm.Program) (int64, uint64, error) {
+	st, _, err := e.Build(p)
+	if err != nil {
+		return 0, 0, err
 	}
+	exited, err := st.StepTo(1 << 40)
+	if err == nil && !exited {
+		err = fmt.Errorf("%s: no exit", e.Name)
+	}
+	c, i := st.Progress()
+	return c, i, err
 }
 
 // workers is the -j flag: the size of the measurement worker pool.
@@ -131,15 +113,15 @@ func measure(set *stats.Set, scale int) {
 		if err := golden.Run(); err != nil {
 			die(fmt.Errorf("%s: iss: %w", w.Name, err))
 		}
-		for _, r := range runners() {
-			if _, ok := set.Get(r.name, w.Name); ok {
+		for _, e := range diffrun.CycleAccurate() {
+			if _, ok := set.Get(e.Name, w.Name); ok {
 				continue
 			}
-			r, w, p, want := r, w, p, golden.Instret
+			e, w, p, want := e, w, p, golden.Instret
 			jobs = append(jobs, batch.Job{
-				Simulator: r.name, Workload: w.Name,
+				Simulator: e.Name, Workload: w.Name,
 				Run: func(context.Context) (batch.Metrics, error) {
-					cycles, instret, err := r.run(p)
+					cycles, instret, err := run(e, p)
 					if err != nil {
 						return batch.Metrics{}, err
 					}
@@ -165,28 +147,31 @@ func measure(set *stats.Set, scale int) {
 func fig10(set *stats.Set, scale int) {
 	measure(set, scale)
 	fmt.Println(set.Table("Figure 10 — Simulation performance", "million cycles/second", stats.MetricMCPS, 2))
-	base := set.Average("SimpleScalar-Arm", stats.MetricMCPS)
+	base := set.Average("ssim", stats.MetricMCPS)
 	if base > 0 {
-		fmt.Printf("speedup over SimpleScalar-Arm:  RCPN-XScale %.1fx,  RCPN-StrongARM %.1fx\n",
-			set.Average("RCPN-XScale", stats.MetricMCPS)/base,
-			set.Average("RCPN-StrongARM", stats.MetricMCPS)/base)
-		fmt.Printf("paper reported:                 ~13.7x (8.2/0.6)    ~20.3x (12.2/0.6); \"~15 times\" overall\n\n")
+		fmt.Printf("speedup over ssim (SimpleScalar-ARM):")
+		for _, e := range diffrun.CycleAccurate() {
+			if e.Name != "ssim" {
+				fmt.Printf("  %s %.1fx", e.Name, set.Average(e.Name, stats.MetricMCPS)/base)
+			}
+		}
+		fmt.Printf("\npaper reported: xscale ~13.7x (8.2/0.6), strongarm ~20.3x (12.2/0.6); \"~15 times\" overall\n\n")
 	}
 }
 
 func fig11(set *stats.Set, scale int) {
 	measure(set, scale)
-	// Figure 11 compares only SimpleScalar-ARM and RCPN-StrongARM (both
-	// model a StrongARM-class five-stage machine).
+	// Figure 11 compares only SimpleScalar-ARM (ssim) and RCPN-StrongARM
+	// (both model a StrongARM-class five-stage machine).
 	sub := &stats.Set{}
 	for _, r := range set.Runs {
-		if r.Simulator == "SimpleScalar-Arm" || r.Simulator == "RCPN-StrongARM" {
+		if r.Simulator == "ssim" || r.Simulator == "strongarm" {
 			sub.Add(r)
 		}
 	}
 	fmt.Println(sub.Table("Figure 11 — Clocks per instruction", "CPI", stats.MetricCPI, 2))
-	a := sub.Average("SimpleScalar-Arm", stats.MetricCPI)
-	b := sub.Average("RCPN-StrongARM", stats.MetricCPI)
+	a := sub.Average("ssim", stats.MetricCPI)
+	b := sub.Average("strongarm", stats.MetricCPI)
 	if a > 0 {
 		fmt.Printf("average CPI difference: %.1f%% (paper: ~10%%, averages 1.8 vs 2.0)\n\n", 100*(b-a)/a)
 	}

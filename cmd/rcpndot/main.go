@@ -5,7 +5,9 @@
 //
 // Usage:
 //
-//	rcpndot [-model strongarm|xscale] [-report]
+//	rcpndot [-model strongarm|xscale|arm9] [-report]
+//
+// Any engine-registry row that is an RCPN machine can be rendered.
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"os"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/machine"
 )
 
@@ -27,18 +30,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var m *machine.Machine
-	switch *model {
-	case "strongarm":
-		m = machine.NewStrongARM(p, machine.Config{})
-	case "xscale":
-		m = machine.NewXScale(p, machine.Config{})
-	case "arm9":
-		if m, err = machine.NewARM9(p, machine.Config{}); err != nil {
-			fail(err)
-		}
-	default:
+	e, ok := diffrun.Lookup(*model)
+	if !ok || e.Functional {
 		fail(fmt.Errorf("unknown model %q", *model))
+	}
+	s, err := e.New(p, diffrun.Config{})
+	if err != nil {
+		fail(err)
+	}
+	m, ok := s.(*machine.Machine)
+	if !ok {
+		fail(fmt.Errorf("model %q is not an RCPN machine (no net to render)", *model))
 	}
 
 	if !*report {

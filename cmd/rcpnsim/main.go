@@ -4,23 +4,23 @@
 //
 // Usage:
 //
-//	rcpnsim [-sim strongarm|xscale|arm9|ssim|pipe5|func|iss] [-scale N]
+//	rcpnsim [-sim iss|func|strongarm|xscale|arm9|pipe5|ssim|genpipe5] [-scale N]
 //	        [-profile] [-trace FILE] [-trace-events N] [-pipetrace N]
 //	        [-util] [-emit] [-json]
 //	        [-parallel N] [-parallel-mode exact|sampled] [-parallel-workers N]
 //	        [-parallel-check] (-bench name | file.s)
 //
+// Every -sim value is a row of the internal/diffrun engine registry.
 // -parallel N runs the job time-parallel (internal/tpar): an ISS leader
 // drops warmed checkpoints at N-1 drained instruction boundaries and the
-// segments simulate concurrently on any engine in the diffrun registry
-// (so -sim genpipe5 works here too). Exact mode stitches a result
+// segments simulate concurrently. Exact mode stitches a result
 // byte-identical to the serial segmented run; sampled mode trades a
 // reported warmup error bound for speed. -parallel-check replays the
 // serial reference and fails on any mismatch.
 //
 // With -json the human-readable report is replaced by a one-job
-// rcpn-batch/v1 record on stdout — the same schema cmd/rcpnbatch and the
-// rcpnserve job API emit, so CLI, batch and service outputs diff directly.
+// rcpn-batch/v1 record on stdout — the same schema the rcpnserve job API
+// emits, so CLI and service outputs diff directly.
 // -profile adds per-stage stall attribution (a table in text mode, a
 // "stalls" object in -json mode); -trace writes the run's last
 // -trace-events events as Chrome trace_event JSON (load in
@@ -44,26 +44,25 @@ import (
 
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
-	"rcpn/internal/iss"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/machine"
 	"rcpn/internal/obsv"
-	"rcpn/internal/pipe5"
 	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
 func main() {
-	sim := flag.String("sim", "strongarm", "simulator: strongarm, xscale, arm9, ssim, pipe5, func, iss")
+	sim := flag.String("sim", "strongarm", "simulator: "+strings.Join(diffrun.Names(), ", "))
 	bench := flag.String("bench", "", "built-in benchmark kernel (adpcm, blowfish, compress, crc, g721, go)")
 	scale := flag.Int("scale", 1, "benchmark scale factor")
 	emit := flag.Bool("emit", false, "print the program's emitted output words")
-	pipetrace := flag.Int64("pipetrace", 0, "print a text pipeline trace for the first N cycles (strongarm/xscale)")
+	pipetrace := flag.Int64("pipetrace", 0, "print a text pipeline trace for the first N cycles (RCPN machines)")
 	profile := flag.Bool("profile", false, "attribute every stage-cycle to progress or a stall cause and print the table")
 	traceFile := flag.String("trace", "", "write an event trace to FILE: Chrome trace_event JSON, or RCPNTRC1 binary when FILE ends in .bin")
 	traceEvents := flag.Int("trace-events", 1<<20, "trace ring capacity: the trace keeps the last N events")
 	util := flag.Bool("util", false, "print per-transition utilization (RCPN models)")
 	jsonOut := flag.Bool("json", false, "emit a one-job rcpn-batch/v1 JSON record instead of the text report")
-	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments simulated concurrently (internal/tpar; any diffrun engine incl. genpipe5)")
+	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments simulated concurrently (internal/tpar)")
 	parallelMode := flag.String("parallel-mode", "exact", "time-parallel stitch mode: exact (byte-identical to serial) or sampled (warmup-biased, error bound reported)")
 	parallelWorkers := flag.Int("parallel-workers", 0, "concurrent segment workers for -parallel (0 = min(segments, GOMAXPROCS))")
 	parallelCheck := flag.Bool("parallel-check", false, "also run the serial segmented reference and fail unless the parallel result matches")
@@ -94,11 +93,15 @@ func main() {
 		fail(err)
 	}
 
+	e, ok := diffrun.Lookup(*sim)
+	if !ok {
+		fail(fmt.Errorf("unknown simulator %q (want one of %s)", *sim, strings.Join(diffrun.Names(), ", ")))
+	}
 	if *parallel > 1 {
 		if *traceFile != "" || *pipetrace > 0 || *util {
 			fail(fmt.Errorf("-parallel is incompatible with -trace, -pipetrace and -util (segment rings cannot be stitched)"))
 		}
-		runParallel(p, parallelFlags{
+		runParallel(p, e, parallelFlags{
 			segments: *parallel, mode: *parallelMode, workers: *parallelWorkers,
 			check: *parallelCheck, profile: *profile, jsonOut: *jsonOut,
 			emit: *emit, sim: *sim, bench: *bench, arg: flag.Arg(0),
@@ -106,104 +109,44 @@ func main() {
 		return
 	}
 
-	// Observability attachments. Every simulator implements
-	// obsv.Instrumentable, so one hook covers all seven -sim choices.
+	s, err := e.New(p, diffrun.Config{})
+	if err != nil {
+		fail(err)
+	}
+	// The RCPN machines' own extras: the text pipeline trace and the
+	// utilization and unit statistics.
+	m, isMachine := s.(*machine.Machine)
+	isMachine = isMachine && !e.Functional
+	if isMachine && *pipetrace > 0 {
+		m.AttachTracer(os.Stdout, *pipetrace)
+	}
+
+	// Observability attachments: every engine is obsv.Instrumentable.
 	var prof *obsv.StallProfile
 	var tracer *obsv.Tracer
+	if *profile {
+		prof = s.EnableProfile()
+	}
 	if *traceFile != "" {
 		if *traceEvents <= 0 {
 			fail(fmt.Errorf("-trace-events must be > 0"))
 		}
 		tracer = obsv.NewTracer(*traceEvents)
-	}
-	instrument := func(ins obsv.Instrumentable) {
-		if *profile {
-			prof = ins.EnableProfile()
-		}
-		if tracer != nil {
-			ins.AttachTrace(tracer)
-		}
+		s.AttachTrace(tracer)
 	}
 
 	start := time.Now()
-	var (
-		cycles   int64
-		instret  uint64
-		output   []uint32
-		text     []byte
-		exitCode uint32
-		extra    func()
-	)
-	switch *sim {
-	case "strongarm", "xscale", "arm9":
-		var m *machine.Machine
-		switch *sim {
-		case "strongarm":
-			m = machine.NewStrongARM(p, machine.Config{})
-		case "xscale":
-			m = machine.NewXScale(p, machine.Config{})
-		default:
-			if m, err = machine.NewARM9(p, machine.Config{}); err != nil {
-				fail(err)
-			}
-		}
-		if *pipetrace > 0 {
-			m.AttachTracer(os.Stdout, *pipetrace)
-		}
-		instrument(m)
-		err = m.Run(0)
-		cycles, instret = m.Net.CycleCount(), m.Instret
-		output, text, exitCode = m.Output, m.Text, m.ExitCode
-		extra = func() {
-			if *util {
-				fmt.Print(m.UtilizationReport())
-			}
-			fmt.Printf("flushes:        %d\n", m.Flushes)
-			fmt.Printf("icache:         %.2f%% hit (%d accesses)\n",
-				100*m.ICache.Stats.HitRatio(), m.ICache.Stats.Accesses())
-			fmt.Printf("dcache:         %.2f%% hit (%d accesses)\n",
-				100*m.DCache.Stats.HitRatio(), m.DCache.Stats.Accesses())
-			fmt.Printf("branch pred:    %.2f%% (%d lookups)\n",
-				100*m.Pred.Stats().Accuracy(), m.Pred.Stats().Lookups)
-			for _, pl := range m.Net.Places() {
-				if pl.Stalls() > 0 {
-					fmt.Printf("stalls at %-4s  %d\n", pl.Name+":", pl.Stalls())
-				}
-			}
-		}
-	case "ssim":
-		s := ssim.New(p, ssim.Config{})
-		instrument(s)
-		err = s.Run(0)
-		cycles, instret = s.Cycles, s.Instret
-		output, text, exitCode = s.Output(), s.Text(), s.ExitCode()
-		extra = func() { fmt.Printf("recoveries:     %d\n", s.Flushes) }
-	case "pipe5":
-		s := pipe5.New(p, pipe5.Config{})
-		instrument(s)
-		err = s.Run(0)
-		cycles, instret = s.Cycles, s.Instret
-		output, text, exitCode = s.Output, s.Text, s.ExitCode
-	case "func":
-		m := machine.NewFunctional(p, machine.Config{})
-		instrument(m)
-		err = m.RunFunctional(0)
-		cycles, instret = 0, m.Instret
-		output, text, exitCode = m.Output, m.Text, m.ExitCode
-	case "iss":
-		c := iss.New(p, 0)
-		c.MaxInstrs = 1 << 34
-		instrument(c)
-		err = c.Run()
-		cycles, instret = 0, c.Instret
-		output, text, exitCode = c.Output, c.Text, c.Exit
-	default:
-		fail(fmt.Errorf("unknown simulator %q", *sim))
+	exited, err := s.StepTo(maxPos)
+	if err == nil && !exited {
+		err = fmt.Errorf("%s: no exit within %d", *sim, int64(maxPos))
 	}
 	wall := time.Since(start)
 	if err != nil {
 		fail(err)
 	}
+
+	cycles, instret := s.Progress()
+	st := e.State(s)
 
 	if *traceFile != "" {
 		if werr := writeTrace(tracer, *traceFile); werr != nil {
@@ -242,22 +185,48 @@ func main() {
 	} else {
 		fmt.Printf("sim speed:      %.2f Minstr/s\n", float64(instret)/wall.Seconds()/1e6)
 	}
-	fmt.Printf("exit code:      %d\n", exitCode)
-	if extra != nil {
-		extra()
+	fmt.Printf("exit code:      %d\n", st.Exit)
+	if isMachine {
+		printMachineStats(m, *util)
 	}
-	if len(text) > 0 {
-		fmt.Printf("text output:    %q\n", text)
+	if ss, ok := s.(*ssim.Sim); ok {
+		fmt.Printf("recoveries:     %d\n", ss.Flushes)
+	}
+	if len(st.Text) > 0 {
+		fmt.Printf("text output:    %q\n", st.Text)
 	}
 	if *emit {
-		for i, w := range output {
+		for i, w := range st.Output {
 			fmt.Printf("output[%d] = %#x (%d)\n", i, w, w)
 		}
-	} else if len(output) > 0 {
-		fmt.Printf("output words:   %d (run with -emit to print)\n", len(output))
+	} else if len(st.Output) > 0 {
+		fmt.Printf("output words:   %d (run with -emit to print)\n", len(st.Output))
 	}
 	if prof != nil {
 		fmt.Print(prof.Table())
+	}
+}
+
+// maxPos bounds a run in the engine's position unit (cycles, or
+// instructions for functional engines).
+const maxPos = 1 << 40
+
+// printMachineStats prints an RCPN machine's unit and stall statistics.
+func printMachineStats(m *machine.Machine, util bool) {
+	if util {
+		fmt.Print(m.UtilizationReport())
+	}
+	fmt.Printf("flushes:        %d\n", m.Flushes)
+	fmt.Printf("icache:         %.2f%% hit (%d accesses)\n",
+		100*m.ICache.Stats.HitRatio(), m.ICache.Stats.Accesses())
+	fmt.Printf("dcache:         %.2f%% hit (%d accesses)\n",
+		100*m.DCache.Stats.HitRatio(), m.DCache.Stats.Accesses())
+	fmt.Printf("branch pred:    %.2f%% (%d lookups)\n",
+		100*m.Pred.Stats().Accuracy(), m.Pred.Stats().Lookups)
+	for _, pl := range m.Net.Places() {
+		if pl.Stalls() > 0 {
+			fmt.Printf("stalls at %-4s  %d\n", pl.Name+":", pl.Stalls())
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ type CheckpointSink func(instret uint64, cycles int64, ck *ckpt.Checkpoint) erro
 // checks, progress reports — and additionally drains and checkpoints the
 // simulator every `interval` retired instructions (0 falls back to plain
 // Drive). Boundaries land at the first drained point at or after each
-// multiple of interval, exactly as the simulators' RunN places them.
+// multiple of interval (StepToRetired to the multiple, then DrainBoundary).
 //
 // Determinism contract: the boundary placement depends only on the
 // simulated instruction stream and interval — not on chunk, wall time, or

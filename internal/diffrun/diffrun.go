@@ -1,9 +1,11 @@
-// Package diffrun is the differential execution harness behind both the
-// conformance matrix (conformance_test.go) and the generative fuzzer
-// (cmd/rcpnfuzz): one engine registry covering every simulator in the
-// repository, a runner that executes a program on the ISS golden model and
-// on every registered engine — plain and through a checkpoint/restore
-// handoff — and a comparator over the complete final architectural state.
+// Package diffrun holds the engine registry — the one place every
+// simulator in the repository is wired in (engines.go), iterated by the
+// service, the CLIs, the time-parallel runner and the Figure 10/11 tables
+// — and the differential execution harness behind the conformance matrix
+// (conformance_test.go) and the generative fuzzer (cmd/rcpnfuzz): a runner
+// that executes a program on the ISS golden model and on every registered
+// engine — plain and through a checkpoint/restore handoff — and a
+// comparator over the complete final architectural state.
 //
 // Reports are deterministic: engines run in registry order, divergences are
 // formatted with fixed layouts, and nothing depends on wall-clock time or
@@ -17,13 +19,8 @@ import (
 	"strings"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/batch"
 	"rcpn/internal/iss"
-	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/simrun"
-	"rcpn/internal/ssim"
 )
 
 // State is the comparable end-of-run architectural state: registers
@@ -93,100 +90,6 @@ func (s State) Diff(golden State) []string {
 	return out
 }
 
-// Engine is one registry row: Build constructs a fresh instance on a
-// program and returns its checkpointable stepper plus a closure extracting
-// the instance's final architectural state.
-type Engine struct {
-	Name  string
-	Build func(p *arm.Program) (batch.CheckpointStepper, func() State, error)
-}
-
-func machineEngine(name string, mk func(p *arm.Program) (*machine.Machine, error)) Engine {
-	return Engine{Name: name, Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-		m, err := mk(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		st := simrun.Machine(m).(batch.CheckpointStepper)
-		return st, func() State {
-			return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-		}, nil
-	}}
-}
-
-// Engines returns the full registry: the ISS golden model, the functional
-// RCPN machine, the three generated cycle-accurate machines, the
-// hand-written five-stage pipeline and the SimpleScalar-like baseline.
-// Adding an engine here — or registering one with Register — extends the
-// conformance matrix and the fuzzer at once.
-func Engines() []Engine {
-	return append(builtinEngines(), registered...)
-}
-
-// registered holds engines added by Register, in registration order.
-var registered []Engine
-
-// Register adds an engine to the registry behind the built-in rows. It is
-// meant to be called from init functions (generated simulators register
-// themselves this way) so every diffrun consumer — the conformance matrix,
-// the fuzzer, the regression-kernel replayer — sweeps the engine with no
-// further wiring. Names must be unique across the whole registry.
-func Register(e Engine) {
-	if e.Name == "" || e.Build == nil {
-		panic("diffrun: Register: engine needs a name and a builder")
-	}
-	for _, have := range Engines() {
-		if have.Name == e.Name {
-			panic("diffrun: Register: duplicate engine name " + e.Name)
-		}
-	}
-	registered = append(registered, e)
-}
-
-func builtinEngines() []Engine {
-	return []Engine{
-		{Name: "iss", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			c := iss.New(p, 0)
-			st := simrun.ISS(c).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(func(r arm.Reg) uint32 { return c.R[r] },
-					c.F, c.Mem, c.Instret, c.Exit, c.Output, c.Text)
-			}, nil
-		}},
-		{Name: "func", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			m := machine.NewFunctional(p, machine.Config{})
-			st := simrun.Functional(m).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-			}, nil
-		}},
-		machineEngine("strongarm", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewStrongARM(p, machine.Config{}), nil
-		}),
-		machineEngine("xscale", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewXScale(p, machine.Config{}), nil
-		}),
-		machineEngine("arm9", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewARM9(p, machine.Config{})
-		}),
-		{Name: "pipe5", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			s := pipe5.New(p, pipe5.Config{})
-			st := simrun.Pipe5(s).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(func(r arm.Reg) uint32 { return s.R[r] },
-					s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
-			}, nil
-		}},
-		{Name: "ssim", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			s := ssim.New(p, ssim.Config{})
-			st := simrun.SSim(s).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
-			}, nil
-		}},
-	}
-}
-
 // WithProgramMutation wraps e so every built instance executes a mutated
 // copy of the program image while the golden model sees the original — a
 // test-only hook for planting a deterministic "engine bug" (e.g. a decode
@@ -194,8 +97,8 @@ func builtinEngines() []Engine {
 // and minimizes it. mutate receives the image words and edits them in
 // place.
 func (e Engine) WithProgramMutation(mutate func(words []uint32)) Engine {
-	inner := e.Build
-	return Engine{Name: e.Name, Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+	inner := e.New
+	e.New = func(p *arm.Program, cfg Config) (Sim, error) {
 		words := p.Words()
 		mutate(words)
 		bytes := make([]byte, len(p.Bytes))
@@ -207,8 +110,9 @@ func (e Engine) WithProgramMutation(mutate func(words []uint32)) Engine {
 			bytes[4*i+3] = byte(w >> 24)
 		}
 		p2 := &arm.Program{Base: p.Base, Entry: p.Entry, Bytes: bytes, Symbols: p.Symbols}
-		return inner(p2)
-	}}
+		return inner(p2, cfg)
+	}
+	return e
 }
 
 const errNotFinished = "position limit reached without exit (engine hang?)"

@@ -440,34 +440,45 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Drained reports whether no instruction is in flight.\n")
 	e.f("func (s *Sim) Drained() bool {\nreturn %s\n}\n\n", strings.Join(drained, " && "))
 
+	e.f("// Pos is the cumulative simulated cycle count StepTo limits by.\n")
+	e.f("func (s *Sim) Pos() int64 { return s.Cycles }\n\n")
+	e.f("// Progress returns the cumulative (cycles, instructions).\n")
+	e.f("func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }\n\n")
+
+	e.f("// StepTo simulates until Cycles reaches limit, the program exits (and\n")
+	e.f("// the pipeline drains), or an error occurs; exited reports completion.\n")
+	e.f("// Reaching the limit is a clean chunk boundary, not an error.\n")
+	e.f("func (s *Sim) StepTo(limit int64) (exited bool, err error) {\n")
+	e.f("for !(s.m.Exited && s.Drained()) {\n")
+	e.f("if s.Cycles >= limit {\nreturn false, nil\n}\n")
+	e.f("s.step()\n")
+	e.f("if s.m.Err != nil {\nreturn false, s.m.Err\n}\n")
+	e.f("}\nreturn true, nil\n}\n\n")
+
 	e.f("// Run simulates until the program exits (and the pipeline drains), an\n")
 	e.f("// error occurs, or maxCycles elapses (0 = 1<<40).\n")
 	e.f("func (s *Sim) Run(maxCycles int64) error {\n")
 	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
-	e.f("for !(s.m.Exited && s.Drained()) {\n")
-	e.f("if s.Cycles >= maxCycles {\nreturn fmt.Errorf(\"%%s: cycle limit %%d exceeded at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n")
-	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
-	e.f("}\nreturn nil\n}\n\n")
+	e.f("exited, err := s.StepTo(maxCycles)\n")
+	e.f("if err == nil && !exited {\n")
+	e.f("err = fmt.Errorf(\"%%s: cycle limit %%d exceeded at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n")
+	e.f("return err\n}\n\n")
 
-	e.f("// RunUntil simulates until at least target total instructions retired,\n")
-	e.f("// the program exited, or the cycle count reached cycleLimit (0 =\n")
-	e.f("// 1<<40); reaching the limit is a clean chunk boundary, not an error.\n")
-	e.f("func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {\n")
-	e.f("if cycleLimit <= 0 {\ncycleLimit = 1 << 40\n}\n")
-	e.f("for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < cycleLimit {\n")
+	e.f("// StepToRetired simulates until at least target total instructions\n")
+	e.f("// retired, the program exited, or Cycles reached posLimit; the first\n")
+	e.f("// state with enough retirements does not depend on the bursts.\n")
+	e.f("func (s *Sim) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {\n")
+	e.f("for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < posLimit {\n")
 	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
-	e.f("}\nreturn nil\n}\n\n")
+	e.f("if s.m.Err != nil {\nreturn false, s.m.Err\n}\n")
+	e.f("}\nreturn s.m.Exited, nil\n}\n\n")
 
-	e.f("// Drain holds the front end and runs the pipeline empty, leaving the\n")
-	e.f("// simulator at a checkpointable architectural boundary.\n")
-	e.f("func (s *Sim) Drain(maxCycles int64) error {\n")
-	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
+	e.f("// DrainBoundary holds the front end and runs the pipeline empty,\n")
+	e.f("// leaving the simulator at a checkpointable architectural boundary.\n")
+	e.f("func (s *Sim) DrainBoundary() error {\n")
 	e.f("s.m.GenHoldFetch(true)\n")
 	e.f("defer s.m.GenHoldFetch(false)\n")
 	e.f("for !s.Drained() {\n")
-	e.f("if s.Cycles >= maxCycles {\nreturn fmt.Errorf(\"%%s: cycle limit %%d exceeded draining at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n")
 	e.f("s.step()\n")
 	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
 	e.f("}\nreturn nil\n}\n\n")
@@ -498,26 +509,7 @@ func emit(m *model, opts Options) []byte {
 	e.f("if s.prof == nil {\ns.prof = obsv.NewStallProfile(stageNames...)\ns.m.InstallProfile(s.prof)\n}\n")
 	e.f("return s.prof\n}\n\n")
 
-	// The batch stepper adapter.
-	e.f("// Stepper adapts the simulator to the batch driving interfaces.\n")
-	e.f("func Stepper(s *Sim) batch.CheckpointStepper { return stepper{s} }\n\n")
-	e.f("type stepper struct{ s *Sim }\n\n")
-	e.f("var (\n_ batch.CheckpointStepper = stepper{}\n_ obsv.Instrumentable = stepper{}\n)\n\n")
-	e.f("func (a stepper) Pos() int64 { return a.s.Cycles }\n\n")
-	e.f("func (a stepper) Progress() (int64, uint64) { return a.s.Cycles, a.s.m.Instret }\n\n")
-	e.f("func (a stepper) StepTo(limit int64) (bool, error) {\n")
-	e.f("err := a.s.Run(limit)\n")
-	e.f("if err == nil {\nreturn true, nil\n}\n")
-	e.f("if a.s.m.Err == nil && !a.s.m.Exited && a.s.Cycles >= limit {\nreturn false, nil // chunk boundary, not a failure\n}\n")
-	e.f("return false, err\n}\n\n")
-	e.f("func (a stepper) StepToRetired(target uint64, posLimit int64) (bool, error) {\n")
-	e.f("if err := a.s.RunUntil(target, posLimit); err != nil {\nreturn false, err\n}\n")
-	e.f("return a.s.m.Exited, nil\n}\n\n")
-	e.f("func (a stepper) DrainBoundary() error { return a.s.Drain(0) }\n\n")
-	e.f("func (a stepper) Checkpoint() (*ckpt.Checkpoint, error) { return a.s.Checkpoint() }\n\n")
-	e.f("func (a stepper) Restore(ck *ckpt.Checkpoint) error { return a.s.Restore(ck) }\n\n")
-	e.f("func (a stepper) AttachTrace(tr *obsv.Tracer) { a.s.AttachTrace(tr) }\n\n")
-	e.f("func (a stepper) EnableProfile() *obsv.StallProfile { return a.s.EnableProfile() }\n")
+	e.f("var (\n_ batch.CheckpointStepper = (*Sim)(nil)\n_ obsv.Instrumentable = (*Sim)(nil)\n)\n")
 
 	return e.buf.Bytes()
 }

@@ -6,10 +6,10 @@
 // devirtualized into direct calls, and the per-PC decode cache supplying
 // the paper's partial evaluation through the shared machine runtime.
 //
-// The generated package implements the engine surface of the interpreted
-// machines (Run/RunUntil/Drain, Checkpoint/Restore at drained boundaries,
-// obsv trace/profile attachment, the batch.CheckpointStepper adapter), so
-// a generated simulator registers into internal/diffrun and is exercised
+// The generated simulator implements the engine surface of the interpreted
+// machines itself (batch.CheckpointStepper: chunked StepTo, StepToRetired,
+// DrainBoundary, Checkpoint/Restore at drained boundaries; obsv trace and
+// profile attachment), so it takes one row in internal/diffrun and is exercised
 // by the conformance matrix, differential fuzzer and checkpoint suites
 // exactly like its interpreted twin.
 package gen

@@ -461,52 +461,60 @@ func (s *Sim) Drained() bool {
 	return s.lFD == nil && s.lEX == nil && s.lME == nil && s.lWB == nil && !s.m.FetchHeld()
 }
 
+// Pos is the cumulative simulated cycle count StepTo limits by.
+func (s *Sim) Pos() int64 { return s.Cycles }
+
+// Progress returns the cumulative (cycles, instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }
+
+// StepTo simulates until Cycles reaches limit, the program exits (and
+// the pipeline drains), or an error occurs; exited reports completion.
+// Reaching the limit is a clean chunk boundary, not an error.
+func (s *Sim) StepTo(limit int64) (exited bool, err error) {
+	for !(s.m.Exited && s.Drained()) {
+		if s.Cycles >= limit {
+			return false, nil
+		}
+		s.step()
+		if s.m.Err != nil {
+			return false, s.m.Err
+		}
+	}
+	return true, nil
+}
+
 // Run simulates until the program exits (and the pipeline drains), an
 // error occurs, or maxCycles elapses (0 = 1<<40).
 func (s *Sim) Run(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !(s.m.Exited && s.Drained()) {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
-		}
-		s.step()
-		if s.m.Err != nil {
-			return s.m.Err
-		}
+	exited, err := s.StepTo(maxCycles)
+	if err == nil && !exited {
+		err = fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
 	}
-	return nil
+	return err
 }
 
-// RunUntil simulates until at least target total instructions retired,
-// the program exited, or the cycle count reached cycleLimit (0 =
-// 1<<40); reaching the limit is a clean chunk boundary, not an error.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < cycleLimit {
+// StepToRetired simulates until at least target total instructions
+// retired, the program exited, or Cycles reached posLimit; the first
+// state with enough retirements does not depend on the bursts.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {
+	for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < posLimit {
 		s.step()
 		if s.m.Err != nil {
-			return s.m.Err
+			return false, s.m.Err
 		}
 	}
-	return nil
+	return s.m.Exited, nil
 }
 
-// Drain holds the front end and runs the pipeline empty, leaving the
-// simulator at a checkpointable architectural boundary.
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
+// DrainBoundary holds the front end and runs the pipeline empty,
+// leaving the simulator at a checkpointable architectural boundary.
+func (s *Sim) DrainBoundary() error {
 	s.m.GenHoldFetch(true)
 	defer s.m.GenHoldFetch(false)
 	for !s.Drained() {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded draining at pc=%#08x", modelName, maxCycles, s.m.PC())
-		}
 		s.step()
 		if s.m.Err != nil {
 			return s.m.Err
@@ -552,44 +560,7 @@ func (s *Sim) EnableProfile() *obsv.StallProfile {
 	return s.prof
 }
 
-// Stepper adapts the simulator to the batch driving interfaces.
-func Stepper(s *Sim) batch.CheckpointStepper { return stepper{s} }
-
-type stepper struct{ s *Sim }
-
 var (
-	_ batch.CheckpointStepper = stepper{}
-	_ obsv.Instrumentable     = stepper{}
+	_ batch.CheckpointStepper = (*Sim)(nil)
+	_ obsv.Instrumentable     = (*Sim)(nil)
 )
-
-func (a stepper) Pos() int64 { return a.s.Cycles }
-
-func (a stepper) Progress() (int64, uint64) { return a.s.Cycles, a.s.m.Instret }
-
-func (a stepper) StepTo(limit int64) (bool, error) {
-	err := a.s.Run(limit)
-	if err == nil {
-		return true, nil
-	}
-	if a.s.m.Err == nil && !a.s.m.Exited && a.s.Cycles >= limit {
-		return false, nil // chunk boundary, not a failure
-	}
-	return false, err
-}
-
-func (a stepper) StepToRetired(target uint64, posLimit int64) (bool, error) {
-	if err := a.s.RunUntil(target, posLimit); err != nil {
-		return false, err
-	}
-	return a.s.m.Exited, nil
-}
-
-func (a stepper) DrainBoundary() error { return a.s.Drain(0) }
-
-func (a stepper) Checkpoint() (*ckpt.Checkpoint, error) { return a.s.Checkpoint() }
-
-func (a stepper) Restore(ck *ckpt.Checkpoint) error { return a.s.Restore(ck) }
-
-func (a stepper) AttachTrace(tr *obsv.Tracer) { a.s.AttachTrace(tr) }
-
-func (a stepper) EnableProfile() *obsv.StallProfile { return a.s.EnableProfile() }

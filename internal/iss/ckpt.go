@@ -29,9 +29,37 @@ func (c *CPU) RunN(n uint64) (uint64, error) {
 	return c.Instret - start, nil
 }
 
+// Pos is the retired-instruction count StepTo limits by.
+func (c *CPU) Pos() int64 { return int64(c.Instret) }
+
+// Progress returns (0, retired instructions): the ISS has no cycles.
+func (c *CPU) Progress() (int64, uint64) { return 0, c.Instret }
+
+// StepTo executes until limit total instructions have retired or the
+// program exits; exited reports completion. MaxInstrs, if set, still
+// applies and surfaces as an error.
+func (c *CPU) StepTo(limit int64) (exited bool, err error) {
+	if n := limit - int64(c.Instret); n > 0 {
+		if _, err := c.RunN(uint64(n)); err != nil {
+			return false, err
+		}
+	}
+	return c.Exited, nil
+}
+
+// StepToRetired stops at the retirement target or posLimit, whichever
+// comes first: both count instructions.
+func (c *CPU) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {
+	return c.StepTo(min(int64(target), posLimit))
+}
+
+// DrainBoundary is a no-op: every instruction boundary is drained.
+func (c *CPU) DrainBoundary() error { return nil }
+
 // Checkpoint captures the complete architected state, plus warm
-// microarchitectural state when warm units are attached.
-func (c *CPU) Checkpoint() *ckpt.Checkpoint {
+// microarchitectural state when warm units are attached. It never fails;
+// the error result matches the cycle simulators' signature.
+func (c *CPU) Checkpoint() (*ckpt.Checkpoint, error) {
 	ck := &ckpt.Checkpoint{
 		R:       c.R,
 		Instret: c.Instret,
@@ -47,7 +75,7 @@ func (c *CPU) Checkpoint() *ckpt.Checkpoint {
 	if c.WarmPred != nil {
 		ck.Pred = ckpt.CapturePred(c.WarmPred)
 	}
-	return ck
+	return ck, nil
 }
 
 // Restore overwrites the CPU's architected state with the checkpoint. The

@@ -253,13 +253,6 @@ func (c *CPU) Step() error {
 
 // Run executes until the program exits (or MaxInstrs is exceeded).
 func (c *CPU) Run() error {
-	for !c.Exited {
-		if c.MaxInstrs != 0 && c.Instret >= c.MaxInstrs {
-			return fmt.Errorf("iss: instruction limit %d exceeded at pc=%#08x", c.MaxInstrs, c.R[arm.PC])
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := c.RunN(^uint64(0))
+	return err
 }

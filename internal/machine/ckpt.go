@@ -12,11 +12,11 @@ import (
 // is the point where the architected state (registers, flags, memory, PC)
 // fully determines all future behavior; in-flight tokens hold partial
 // results, reservations and data-dependent delays that have no stable
-// serialized form. RunN produces such boundaries on demand: it runs until a
-// target retirement count, then holds the fetch source and lets the pipeline
-// empty. Any in-flight control transfer resolves during the drain (redirects
-// update the fetch PC even with fetch held), so the drained PC is always the
-// next architectural instruction.
+// serialized form. DrainBoundary produces such boundaries on demand: it
+// holds the fetch source and lets the pipeline empty. Any in-flight control
+// transfer resolves during the drain (redirects update the fetch PC even
+// with fetch held), so the drained PC is always the next architectural
+// instruction.
 
 // Drained reports whether no instruction is in flight: every place empty
 // (including two-list staging buffers) and no serializing instruction
@@ -36,65 +36,87 @@ func (m *Machine) Drained() bool {
 	return m.fetchHold == nil
 }
 
-// RunN simulates until at least n more instructions retire (or the program
-// exits), then drains the pipeline so the machine sits at a checkpointable
-// architectural boundary. The boundary lands at the first drained point at
-// or after the target — a few instructions past it, since work already in
-// flight when the target retires completes normally. maxCycles bounds the
-// whole operation (0 = 1<<40).
-func (m *Machine) RunN(n uint64, maxCycles int64) error {
+// Pos is the cumulative position StepTo limits by: simulated cycles, or
+// retired instructions on a functional machine.
+func (m *Machine) Pos() int64 {
 	if m.functional {
-		return fmt.Errorf("%s: RunN needs a pipeline; use RunFunctional", m.Name)
+		return int64(m.Instret)
 	}
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+	return m.Net.CycleCount()
+}
+
+// Progress returns the cumulative (cycles, instructions); a functional
+// machine reports zero cycles.
+func (m *Machine) Progress() (int64, uint64) {
+	if m.functional {
+		return 0, m.Instret
 	}
-	target := m.Instret + n
-	step := func() error {
-		if m.Net.CycleCount() >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
+	return m.Net.CycleCount(), m.Instret
+}
+
+// StepTo simulates until Pos reaches limit, the program exits (and the
+// pipeline drains), or an error occurs; exited reports completion.
+// Reaching the limit is a clean chunk boundary, not an error: the limit
+// check sits strictly between cycles (instructions), so where the chunks
+// end cannot change the simulated outcome.
+func (m *Machine) StepTo(limit int64) (exited bool, err error) {
+	if m.functional {
+		for !m.Exited {
+			if int64(m.Instret) >= limit {
+				return false, nil
+			}
+			m.stepFunctional()
+			if m.Err != nil {
+				return false, m.Err
+			}
 		}
-		m.Net.Step()
+		return true, nil
+	}
+	for !m.halted() {
+		if m.Net.CycleCount() >= limit {
+			return false, nil
+		}
+		m.Net.Step() // m.step, written out: this is the hot loop
 		if m.tracer != nil {
 			m.tracer.snap()
 		}
-		return m.Err
-	}
-	for !m.Exited && m.Instret < target {
-		if err := step(); err != nil {
-			return err
+		if m.Err != nil {
+			return false, m.Err
 		}
+	}
+	return true, nil
+}
+
+// StepToRetired simulates until at least target total instructions have
+// retired, the program exits, or Pos reaches posLimit — whichever comes
+// first. Unlike a checkpoint drain it leaves instructions in flight, and
+// the first state with Instret >= target is independent of where the
+// posLimit bursts end.
+func (m *Machine) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {
+	if m.functional {
+		// Position is the retirement count: stop at whichever comes first.
+		return m.StepTo(min(int64(target), posLimit))
+	}
+	for !m.halted() && m.Instret < target && m.Net.CycleCount() < posLimit {
+		m.step()
+		if m.Err != nil {
+			return false, m.Err
+		}
+	}
+	return m.Exited, nil
+}
+
+// DrainBoundary holds the front end and runs the pipeline empty, leaving
+// the machine at a checkpointable architectural boundary. A functional
+// machine is always drained.
+func (m *Machine) DrainBoundary() error {
+	if m.functional {
+		return nil
 	}
 	m.holdFetch = true
 	defer func() { m.holdFetch = false }()
 	for !m.Drained() {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunUntil simulates until at least target total instructions have retired,
-// the program exits, or the cycle count reaches cycleLimit (0 = 1<<40) —
-// whichever comes first. Unlike RunN it does not drain and reaching the
-// cycle limit is a clean stop, not an error, so a driver can interleave
-// limit-sized bursts with cancellation checks; because the limit check sits
-// strictly between cycles, where the bursts end cannot change the simulated
-// outcome, and the first state with Instret >= target is independent of the
-// burst schedule.
-func (m *Machine) RunUntil(target uint64, cycleLimit int64) error {
-	if m.functional {
-		return fmt.Errorf("%s: RunUntil needs a pipeline; use RunFunctional", m.Name)
-	}
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for !m.halted() && m.Instret < target && m.Net.CycleCount() < cycleLimit {
-		m.Net.Step()
-		if m.tracer != nil {
-			m.tracer.snap()
-		}
+		m.step()
 		if m.Err != nil {
 			return m.Err
 		}
@@ -102,29 +124,12 @@ func (m *Machine) RunUntil(target uint64, cycleLimit int64) error {
 	return nil
 }
 
-// Drain holds the front end and runs the pipeline empty, leaving the
-// machine at a checkpointable architectural boundary (the same drain RunN
-// performs after its retirement target). maxCycles bounds the drain
-// (0 = 1<<40).
-func (m *Machine) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+// step advances the net one cycle and feeds the text pipeline tracer.
+func (m *Machine) step() {
+	m.Net.Step()
+	if m.tracer != nil {
+		m.tracer.snap()
 	}
-	m.holdFetch = true
-	defer func() { m.holdFetch = false }()
-	for !m.Drained() {
-		if m.Net.CycleCount() >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded draining at pc=%#08x", m.Name, maxCycles, m.pc)
-		}
-		m.Net.Step()
-		if m.tracer != nil {
-			m.tracer.snap()
-		}
-		if m.Err != nil {
-			return m.Err
-		}
-	}
-	return nil
 }
 
 // Checkpoint captures the architected state plus the machine's warm
@@ -135,7 +140,7 @@ func (m *Machine) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, m.Err
 	}
 	if !m.Drained() {
-		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use RunN)", m.Name)
+		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use DrainBoundary)", m.Name)
 	}
 	ck := &ckpt.Checkpoint{
 		Instret: m.Instret,

@@ -35,16 +35,11 @@ func (m *Machine) RunFunctional(maxInstrs uint64) error {
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
-	for !m.Exited {
-		if m.Instret >= maxInstrs {
-			return fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
-		}
-		m.stepFunctional()
-		if m.Err != nil {
-			return m.Err
-		}
+	exited, err := m.StepTo(int64(maxInstrs))
+	if err == nil && !exited {
+		err = fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
 	}
-	return nil
+	return err
 }
 
 // stepFunctional drives one instruction through the model's class semantics

@@ -200,19 +200,11 @@ func (m *Machine) Run(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !m.halted() {
-		if m.Net.CycleCount() >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
-		}
-		m.Net.Step()
-		if m.tracer != nil {
-			m.tracer.snap()
-		}
-		if m.Err != nil {
-			return m.Err
-		}
+	exited, err := m.StepTo(maxCycles)
+	if err == nil && !exited {
+		err = fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
 	}
-	return nil
+	return err
 }
 
 // Dot renders the model's RCPN in Graphviz format.

@@ -8,72 +8,55 @@ import (
 
 // Checkpoint support for the hand-written baseline, mirroring the RCPN
 // models: snapshots only at drained-pipeline boundaries, produced on demand
-// by RunN (run to a retirement target, hold fetch, let the latches empty).
+// by DrainBoundary (hold fetch, let the latches empty).
 
 // Drained reports whether all four pipeline latches are empty.
 func (s *Sim) Drained() bool {
 	return s.fq == nil && s.dx == nil && s.mx == nil && s.wx == nil
 }
 
-// RunN simulates until at least n more instructions retire (or the program
-// exits), then drains the pipeline to a checkpointable boundary. maxCycles
-// bounds the whole operation (0 = 1<<40).
-func (s *Sim) RunN(n uint64, maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	target := s.Instret + n
-	step := func() error {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
-		}
-		s.cycle()
-		return s.Err
-	}
-	for !s.Exited && s.Instret < target {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Exited && !s.Drained() {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Pos is the cumulative simulated cycle count StepTo limits by.
+func (s *Sim) Pos() int64 { return s.Cycles }
 
-// RunUntil simulates until at least target total instructions have retired,
-// the program exits, or Cycles reaches cycleLimit (0 = 1<<40). Reaching the
-// cycle limit is a clean stop, not an error, and the first state with
-// Instret >= target does not depend on where the limit-sized bursts end.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for !s.Exited && s.Instret < target && s.Cycles < cycleLimit {
+// Progress returns the cumulative (cycles, instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
+
+// StepTo simulates until Cycles reaches limit, the program exits, or an
+// error occurs; exited reports completion. Reaching the limit is a clean
+// chunk boundary, not an error, and where the chunks end cannot change the
+// simulated outcome.
+func (s *Sim) StepTo(limit int64) (exited bool, err error) {
+	for !s.Exited {
+		if s.Cycles >= limit {
+			return false, nil
+		}
 		s.cycle()
 		if s.Err != nil {
-			return s.Err
+			return false, s.Err
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// Drain holds fetch and runs the latches empty, leaving the simulator at a
-// checkpointable boundary. maxCycles bounds the drain (0 = 1<<40).
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+// StepToRetired simulates until at least target total instructions have
+// retired, the program exits, or Cycles reaches posLimit. The first state
+// with Instret >= target does not depend on where the posLimit bursts end.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {
+	for !s.Exited && s.Instret < target && s.Cycles < posLimit {
+		s.cycle()
+		if s.Err != nil {
+			return false, s.Err
+		}
 	}
+	return s.Exited, nil
+}
+
+// DrainBoundary holds fetch and runs the latches empty, leaving the
+// simulator at a checkpointable boundary.
+func (s *Sim) DrainBoundary() error {
 	s.holdFetch = true
 	defer func() { s.holdFetch = false }()
 	for !s.Exited && !s.Drained() {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("pipe5: cycle limit %d exceeded draining at pc=%#08x", maxCycles, s.pc)
-		}
 		s.cycle()
 		if s.Err != nil {
 			return s.Err
@@ -89,7 +72,7 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, s.Err
 	}
 	if !s.Drained() {
-		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use RunN)")
+		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use DrainBoundary)")
 	}
 	ck := &ckpt.Checkpoint{
 		R:       s.R,

@@ -139,16 +139,11 @@ func (s *Sim) Run(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !s.Exited {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
-		}
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
+	exited, err := s.StepTo(maxCycles)
+	if err == nil && !exited {
+		err = fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
 	}
-	return nil
+	return err
 }
 
 // cycle advances one clock: stages processed back to front so values flow

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rcpn/internal/batch"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
 )
 
@@ -78,12 +79,12 @@ func ckptSpec(sim string) string {
 }
 
 // TestPanicResumeByteIdentical is the acceptance criterion at the service
-// level, per engine: a job killed by an injected worker panic mid-run is
+// level, for every registry engine: a job killed by an injected worker panic mid-run is
 // retried, resumes from its last checkpoint (not from scratch), and the
 // final rcpn-batch/v1 result is byte-identical to an uninterrupted run of
 // the same spec on a clean server.
 func TestPanicResumeByteIdentical(t *testing.T) {
-	for _, sim := range []string{"strongarm", "pipe5", "ssim", "func", "iss"} {
+	for _, sim := range diffrun.Names() {
 		t.Run(sim, func(t *testing.T) {
 			spec := ckptSpec(sim)
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rcpn/internal/batch"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/obsv"
 )
 
@@ -506,11 +507,9 @@ func TestTransientFailureRetries(t *testing.T) {
 // (run under -race in CI).
 func TestConcurrentMixedClients(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
-	specs := []string{
-		`{"simulator":"pipe5","kernel":"crc"}`,
-		`{"simulator":"iss","kernel":"crc"}`,
-		`{"simulator":"func","kernel":"crc"}`,
-		`{"simulator":"pipe5","kernel":"adpcm"}`,
+	specs := []string{`{"simulator":"pipe5","kernel":"adpcm"}`}
+	for _, sim := range diffrun.Names() {
+		specs = append(specs, fmt.Sprintf(`{"simulator":%q,"kernel":"crc"}`, sim))
 	}
 	const clients = 8
 	var wg sync.WaitGroup

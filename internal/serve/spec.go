@@ -15,14 +15,10 @@ import (
 	"strings"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/simrun"
-	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
@@ -106,12 +102,6 @@ type JobSpec struct {
 	Config       SimConfig `json:"config"`
 }
 
-// simulators is the accepted Simulator set, matching cmd/rcpnsim's -sim.
-var simulators = map[string]bool{
-	"strongarm": true, "xscale": true, "arm9": true,
-	"ssim": true, "pipe5": true, "func": true, "iss": true,
-}
-
 // maxSourceBytes bounds inline assembly so a single request cannot balloon
 // server memory.
 const maxSourceBytes = 1 << 20
@@ -164,8 +154,9 @@ func (s *JobSpec) Normalize() error {
 	s.Simulator = strings.ToLower(strings.TrimSpace(s.Simulator))
 	s.Kernel = strings.ToLower(strings.TrimSpace(s.Kernel))
 	s.Config.Bpred = strings.ToLower(strings.TrimSpace(s.Config.Bpred))
-	if !simulators[s.Simulator] {
-		return specErrf("unknown simulator %q (want strongarm, xscale, arm9, ssim, pipe5, func or iss)", s.Simulator)
+	eng, ok := diffrun.Lookup(s.Simulator)
+	if !ok {
+		return specErrf("unknown simulator %q (want one of %s)", s.Simulator, strings.Join(diffrun.Names(), ", "))
 	}
 	if (s.Kernel == "") == (s.Source == "") {
 		return specErrf("exactly one of kernel and source must be set")
@@ -221,13 +212,10 @@ func (s *JobSpec) Normalize() error {
 	if s.ParallelMode != "" && s.ParallelMode != "sampled" {
 		return specErrf("unknown parallel_mode %q (want exact or sampled)", s.ParallelMode)
 	}
-	if (s.Simulator == "func" || s.Simulator == "iss") && !s.Config.isZero() {
+	if eng.Functional && !s.Config.isZero() {
 		return specErrf("simulator %q is functional and takes no cache/bpred config", s.Simulator)
 	}
-	if _, err := s.predictor(); err != nil {
-		return err
-	}
-	if err := s.checkCaches(); err != nil {
+	if _, err := s.config(); err != nil {
 		return err
 	}
 	// Assemble now so a syntactically broken inline program is a 400, not a
@@ -304,21 +292,6 @@ func (s *JobSpec) predictor() (bpred.Predictor, error) {
 	}
 }
 
-// checkCaches validates the cache overrides without keeping the instances.
-func (s *JobSpec) checkCaches() error {
-	if s.Config.ICache != nil {
-		if _, err := s.Config.ICache.cache("icache"); err != nil {
-			return specErrf("icache: %v", err)
-		}
-	}
-	if s.Config.DCache != nil {
-		if _, err := s.Config.DCache.cache("dcache"); err != nil {
-			return specErrf("dcache: %v", err)
-		}
-	}
-	return nil
-}
-
 // program assembles the job's workload.
 func (s *JobSpec) program() (*arm.Program, error) {
 	if s.Kernel != "" {
@@ -327,63 +300,62 @@ func (s *JobSpec) program() (*arm.Program, error) {
 	return arm.Assemble(s.Source, 0x8000)
 }
 
-// hierarchy builds the machine.Config/ssim.Config cache hierarchy from the
-// overrides; the zero Hierarchy selects each model's defaults.
-func (s *JobSpec) hierarchy() (mem.Hierarchy, error) {
-	var h mem.Hierarchy
+// config builds the engine configuration from the overrides (nil fields
+// select the engine's defaults). Its errors are spec defects; Normalize
+// calls it to validate the overrides.
+func (s *JobSpec) config() (diffrun.Config, error) {
+	var cfg diffrun.Config
+	pred, err := s.predictor()
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Predictor = pred
 	if s.Config.ICache != nil {
-		c, err := s.Config.ICache.cache("icache")
-		if err != nil {
-			return h, err
+		if cfg.Caches.I, err = s.Config.ICache.cache("icache"); err != nil {
+			return cfg, specErrf("icache: %v", err)
 		}
-		h.I = c
 	}
 	if s.Config.DCache != nil {
-		c, err := s.Config.DCache.cache("dcache")
-		if err != nil {
-			return h, err
+		if cfg.Caches.D, err = s.Config.DCache.cache("dcache"); err != nil {
+			return cfg, specErrf("dcache: %v", err)
 		}
-		h.D = c
 	}
-	return h, nil
+	return cfg, nil
 }
 
-// Build assembles the program and constructs the simulator, returning the
-// stepper that runs it. Called on a worker; every failure mode that can be
-// detected cheaply was already rejected at admission by Normalize.
-func (s *JobSpec) Build() (batch.Stepper, error) {
+// resolve returns the spec's registry row and engine configuration;
+// Normalize has already rejected unknown names and bad overrides.
+func (s *JobSpec) resolve() (diffrun.Engine, diffrun.Config, error) {
+	e, ok := diffrun.Lookup(s.Simulator)
+	if !ok {
+		return e, diffrun.Config{}, specErrf("unknown simulator %q", s.Simulator)
+	}
+	cfg, err := s.config()
+	return e, cfg, err
+}
+
+// Build assembles the program and constructs the simulator. Called on a
+// worker; every failure mode that can be detected cheaply was already
+// rejected at admission by Normalize.
+func (s *JobSpec) Build() (diffrun.Sim, error) {
+	e, cfg, err := s.resolve()
+	if err != nil {
+		return nil, err
+	}
 	p, err := s.program()
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.hierarchy()
+	return e.New(p, cfg)
+}
+
+// warm builds the leader warm-unit wiring for a parallel job: the spec's
+// cache/predictor overrides where present, the simulator's defaults where
+// not (nil for functional simulators).
+func (s *JobSpec) warm() (func(c *iss.CPU), error) {
+	e, cfg, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	pred, err := s.predictor()
-	if err != nil {
-		return nil, err
-	}
-	switch s.Simulator {
-	case "strongarm":
-		return simrun.Machine(machine.NewStrongARM(p, machine.Config{Caches: h, Predictor: pred})), nil
-	case "xscale":
-		return simrun.Machine(machine.NewXScale(p, machine.Config{Caches: h, Predictor: pred})), nil
-	case "arm9":
-		m, err := machine.NewARM9(p, machine.Config{Caches: h, Predictor: pred})
-		if err != nil {
-			return nil, err
-		}
-		return simrun.Machine(m), nil
-	case "ssim":
-		return simrun.SSim(ssim.New(p, ssim.Config{Caches: h, Predictor: pred})), nil
-	case "pipe5":
-		return simrun.Pipe5(pipe5.New(p, pipe5.Config{Caches: h, Predictor: pred})), nil
-	case "func":
-		return simrun.Functional(machine.NewFunctional(p, machine.Config{})), nil
-	case "iss":
-		return simrun.ISS(iss.New(p, 0)), nil
-	default:
-		return nil, specErrf("unknown simulator %q", s.Simulator)
-	}
+	return e.Warm(cfg), nil
 }

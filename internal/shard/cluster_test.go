@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
 	"rcpn/internal/serve"
 	"rcpn/internal/store"
@@ -306,25 +307,17 @@ func runBoth(t *testing.T, cl *cluster, ref *httptest.Server, spec string) {
 
 // ---- the conformance tests -------------------------------------------------
 
-// TestShardByteIdentityMatrix: every simulator engine, plus the
-// checkpointed and time-parallel execution paths, produces byte-identical
-// results through a two-worker cluster and a single-process server.
+// TestShardByteIdentityMatrix: every registry engine, plain and through
+// the checkpointed and time-parallel execution paths, produces
+// byte-identical results through a two-worker cluster and a single-process
+// server.
 func TestShardByteIdentityMatrix(t *testing.T) {
 	cl := startCluster(t, serve.Config{}, CoordinatorConfig{}, []WorkerConfig{{}, {}})
 	ref := refServer(t)
-	specs := []string{
-		`{"simulator":"strongarm","kernel":"crc","scale":1}`,
-		`{"simulator":"xscale","kernel":"crc","scale":1}`,
-		`{"simulator":"arm9","kernel":"crc","scale":1}`,
-		`{"simulator":"ssim","kernel":"crc","scale":1}`,
-		`{"simulator":"pipe5","kernel":"crc","scale":1}`,
-		`{"simulator":"func","kernel":"crc","scale":1}`,
-		`{"simulator":"iss","kernel":"crc","scale":1}`,
-		`{"simulator":"pipe5","kernel":"crc","scale":1,"checkpoint_interval":2000}`,
-		`{"simulator":"pipe5","kernel":"crc","scale":1,"parallelism":2}`,
-	}
-	for _, spec := range specs {
-		runBoth(t, cl, ref, spec)
+	for _, variant := range []string{"", `,"checkpoint_interval":2000`, `,"parallelism":2`} {
+		for _, sim := range diffrun.Names() {
+			runBoth(t, cl, ref, fmt.Sprintf(`{"simulator":%q,"kernel":"crc","scale":1%s}`, sim, variant))
+		}
 	}
 	if n := cl.coord.Evictions(); n != 0 {
 		t.Fatalf("healthy matrix run evicted %d workers", n)

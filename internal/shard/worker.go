@@ -140,6 +140,9 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 	conn := rpc.NewConn(nc, w.cfg.Fault)
 	conn.WriteTimeout = 10 * time.Second
 	defer conn.Close()
+	// Canceling the session closes the connection, which unblocks the
+	// reader loop's Recv at once instead of at the heartbeat read deadline.
+	defer context.AfterFunc(sctx, func() { conn.Close() })()
 	if _, err := conn.Handshake(rpc.Hello{
 		Version: rpc.Version,
 		Node:    w.cfg.Node,

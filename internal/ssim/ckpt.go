@@ -24,80 +24,58 @@ func (s *Sim) Drained() bool {
 		s.aluFree <= s.Cycles && s.mulFree <= s.Cycles && s.memFree <= s.Cycles
 }
 
-// RunN simulates until at least n more instructions commit (or the program
-// exits and the window empties), then drains to a checkpointable boundary.
-// maxCycles bounds the whole operation (0 = 1<<40).
-func (s *Sim) RunN(n uint64, maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	target := s.Instret + n
-	step := func() error {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
-		}
-		s.cycle()
-		return s.Err
-	}
-	for (!s.Exited || len(s.ruu) > 0) && s.Instret < target {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Drained() {
-		if s.Exited && len(s.ruu) == 0 {
-			// Program over: the leftover fetch-queue slots and unit stamps
-			// will never clear; there is no boundary to reach.
-			return nil
-		}
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Finished reports program completion: the exit system call has committed
-// and the window has emptied (the condition Run stops on).
+// and the window has emptied (the condition StepTo stops on).
 func (s *Sim) Finished() bool { return s.Exited && len(s.ruu) == 0 }
 
-// RunUntil simulates until at least target total instructions have
-// committed, the program exits (and the window empties), or Cycles reaches
-// cycleLimit (0 = 1<<40). Reaching the cycle limit is a clean stop, not an
-// error, and the first state with Instret >= target does not depend on
-// where the limit-sized bursts end.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for (!s.Exited || len(s.ruu) > 0) && s.Instret < target && s.Cycles < cycleLimit {
+// Pos is the cumulative simulated cycle count StepTo limits by.
+func (s *Sim) Pos() int64 { return s.Cycles }
+
+// Progress returns the cumulative (cycles, committed instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
+
+// StepTo simulates until Cycles reaches limit, the program finishes, or an
+// error occurs; exited reports completion. Reaching the limit is a clean
+// chunk boundary, not an error, and where the chunks end cannot change the
+// simulated outcome.
+func (s *Sim) StepTo(limit int64) (exited bool, err error) {
+	for !s.Finished() {
+		if s.Cycles >= limit {
+			return false, nil
+		}
 		s.cycle()
 		if s.Err != nil {
-			return s.Err
+			return false, s.Err
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// Drain holds fetch and runs to a timing-reproducible checkpointable
-// boundary (window and fetch queue empty, unit stamps in the past), the
-// same drain RunN performs. maxCycles bounds the drain (0 = 1<<40).
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+// StepToRetired simulates until at least target total instructions have
+// committed, the program finishes, or Cycles reaches posLimit. The first
+// state with Instret >= target does not depend on where the posLimit
+// bursts end.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (exited bool, err error) {
+	for !s.Finished() && s.Instret < target && s.Cycles < posLimit {
+		s.cycle()
+		if s.Err != nil {
+			return false, s.Err
+		}
 	}
+	return s.Finished(), nil
+}
+
+// DrainBoundary holds fetch and runs to a timing-reproducible
+// checkpointable boundary (window and fetch queue empty, unit stamps in the
+// past).
+func (s *Sim) DrainBoundary() error {
 	s.holdFetch = true
 	defer func() { s.holdFetch = false }()
 	for !s.Drained() {
-		if s.Exited && len(s.ruu) == 0 {
+		if s.Finished() {
 			// Program over: the leftover fetch-queue slots and unit stamps
 			// will never clear; there is no boundary to reach.
 			return nil
-		}
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded draining at pc=%#08x", maxCycles, s.fetchPC)
 		}
 		s.cycle()
 		if s.Err != nil {
@@ -115,13 +93,16 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, s.Err
 	}
 	if !s.Drained() {
-		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use RunN)")
+		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use DrainBoundary)")
 	}
 	if s.Instret != s.oracle.Instret {
 		return nil, fmt.Errorf("ssim: committed %d but oracle executed %d — window not architectural",
 			s.Instret, s.oracle.Instret)
 	}
-	ck := s.oracle.Checkpoint()
+	ck, err := s.oracle.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
 	ck.ICache = ckpt.CaptureCache(s.ICache)
 	ck.DCache = ckpt.CaptureCache(s.DCache)
 	ck.ITLB = ckpt.CaptureCache(s.ITLB)

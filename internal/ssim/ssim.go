@@ -273,16 +273,11 @@ func (s *Sim) Run(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !s.Exited || len(s.ruu) > 0 {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
-		}
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
+	exited, err := s.StepTo(maxCycles)
+	if err == nil && !exited {
+		err = fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
 	}
-	return nil
+	return err
 }
 
 // cycle is sim-outorder's main loop: ruu_commit, ruu_writeback, ruu_issue,

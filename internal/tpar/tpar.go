@@ -11,7 +11,7 @@
 // for the wall-clock of the single biggest job; tpar parallelizes *within*
 // one run, built from the pieces the repository already trusts: warmed
 // fast-forward checkpoints (internal/ckpt + iss functional warming),
-// drained-boundary RunUntil/Drain hooks on every engine, and the
+// the StepToRetired/DrainBoundary hooks every engine implements, and the
 // sampled-CPI machinery that quantifies warmup inaccuracy.
 //
 // Two stitching modes:
@@ -137,9 +137,9 @@ type Options struct {
 	// Mode selects Exact (default) or Sampled stitching.
 	Mode Mode
 	// Warm, when non-nil, attaches warm units to the leader ISS before the
-	// checkpoint pass (see DefaultWarm). The units must match the engine's
-	// cache geometry and predictor type or segment restores will fail; nil
-	// (cold checkpoints) is always safe.
+	// checkpoint pass (see diffrun.Engine.Warm). The units must match the
+	// engine's cache geometry and predictor type or segment restores will
+	// fail; nil (cold checkpoints) is always safe.
 	Warm func(c *iss.CPU)
 	// MaxInstrs bounds the leader run (default 1<<32).
 	MaxInstrs uint64
@@ -401,7 +401,10 @@ func leaderCheckpoints(p *arm.Program, plan *Plan, opt Options) ([]*ckpt.Checkpo
 			return nil, nil, fmt.Errorf("tpar: leader diverged from plan: at %d retired (exited=%v), want boundary %d",
 				c.Instret, c.Exited, b)
 		}
-		ck := c.Checkpoint()
+		ck, err := c.Checkpoint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)
+		}
 		raw, err := ck.Bytes()
 		if err != nil {
 			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)

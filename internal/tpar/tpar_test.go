@@ -17,13 +17,11 @@ import (
 
 func engineByName(t *testing.T, name string) diffrun.Engine {
 	t.Helper()
-	for _, e := range diffrun.Engines() {
-		if e.Name == name {
-			return e
-		}
+	e, ok := diffrun.Lookup(name)
+	if !ok {
+		t.Fatalf("engine %q not registered", name)
 	}
-	t.Fatalf("engine %q not registered", name)
-	return diffrun.Engine{}
+	return e
 }
 
 func TestPlanClampAndLogOnce(t *testing.T) {
@@ -89,7 +87,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	base := Options{Segments: 4, Mode: Exact, Warm: DefaultWarm(e.Name),
+	base := Options{Segments: 4, Mode: Exact, Warm: e.Warm(diffrun.Config{}),
 		MinSegment: 64, Profile: true}
 	plan, err := NewPlan(p, base)
 	if err != nil {
@@ -152,7 +150,7 @@ func TestExactMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: DefaultWarm(e.Name),
+	opt := Options{Segments: 3, Mode: Exact, Warm: e.Warm(diffrun.Config{}),
 		MinSegment: 64, Profile: true}
 	plan, err := NewPlan(p, opt)
 	if err != nil {
@@ -191,7 +189,7 @@ func TestSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 4, Mode: Sampled, Warm: DefaultWarm(e.Name), MinSegment: 64}
+	opt := Options{Segments: 4, Mode: Sampled, Warm: e.Warm(diffrun.Config{}), MinSegment: 64}
 	plan, err := NewPlan(p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +235,7 @@ func TestKillReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: DefaultWarm(e.Name),
+	opt := Options{Segments: 3, Mode: Exact, Warm: e.Warm(diffrun.Config{}),
 		MinSegment: 64, Profile: true}
 	plan, err := NewPlan(p, opt)
 	if err != nil {
@@ -299,7 +297,7 @@ func TestStepper(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: DefaultWarm(e.Name), MinSegment: 64}
+	opt := Options{Segments: 3, Mode: Exact, Warm: e.Warm(diffrun.Config{}), MinSegment: 64}
 	plan, err := NewPlan(p, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -26,11 +26,11 @@ import (
 // (the production default of 1024 would clamp N=4 away on short runs).
 const tparMinSegment = 256
 
-func tparOptions(engine string, segments int) tpar.Options {
+func tparOptions(engine diffrun.Engine, segments int) tpar.Options {
 	return tpar.Options{
 		Segments:   segments,
 		Mode:       tpar.Exact,
-		Warm:       tpar.DefaultWarm(engine),
+		Warm:       engine.Warm(diffrun.Config{}),
 		MinSegment: tparMinSegment,
 		Profile:    true,
 	}
@@ -70,7 +70,7 @@ func TestTparConformance(t *testing.T) {
 				for _, e := range diffrun.Engines() {
 					e := e
 					t.Run(e.Name+"@N"+string(rune('0'+n)), func(t *testing.T) {
-						opt := tparOptions(e.Name, n)
+						opt := tparOptions(e, n)
 						plan, err := tpar.NewPlan(p, opt)
 						if err != nil {
 							t.Fatal(err)
@@ -101,13 +101,8 @@ func TestSegmentKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var engine diffrun.Engine
-	for _, e := range diffrun.Engines() {
-		if e.Name == "pipe5" {
-			engine = e
-		}
-	}
-	opt := tparOptions(engine.Name, 4)
+	engine, _ := diffrun.Lookup("pipe5")
+	opt := tparOptions(engine, 4)
 	plan, err := tpar.NewPlan(p, opt)
 	if err != nil {
 		t.Fatal(err)
