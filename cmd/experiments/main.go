@@ -307,7 +307,6 @@ func sweep(scale int) {
 				die(err)
 			}
 			cfg := machine.Config{Caches: mem.Hierarchy{
-				I: mem.MustCache(mem.CacheConfig{Name: "icache", Sets: 16, Ways: 32, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 				D: mem.MustCache(mem.CacheConfig{Name: "dcache", Sets: sets, Ways: 8, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 			}}
 			m := machine.NewStrongARM(p, cfg)

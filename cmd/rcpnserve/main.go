@@ -58,6 +58,12 @@ import (
 	"rcpn/internal/shard"
 )
 
+// Connection timeouts of the public listener.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
@@ -137,7 +143,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rcpnserve:", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	// A client that never finishes its request header, or idles on a
+	// kept-alive connection, is cut off instead of holding a connection
+	// forever. There is no WriteTimeout: SSE progress streams stay open for
+	// a job's lifetime.
+	hs := &http.Server{Addr: *addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,6 +7,7 @@ import (
 
 	"rcpn/internal/batch"
 	"rcpn/internal/ckpt"
+	"rcpn/internal/mem"
 	"rcpn/internal/workload"
 )
 
@@ -211,5 +212,44 @@ func TestRegistryRows(t *testing.T) {
 		if !e.Functional && e.Defaults == nil {
 			t.Errorf("%s: cycle-accurate row without default warm units", e.Name)
 		}
+	}
+}
+
+// TestOneCacheConfigKeepsDefaults: every cycle-accurate engine defaults
+// each nil unit on its own, so overriding one cache runs exactly like
+// spelling out the engine's default for the other — and unlike the
+// all-default run.
+func TestOneCacheConfigKeepsDefaults(t *testing.T) {
+	p, err := workload.ByName("crc").Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func(name string) *mem.Cache {
+		return mem.MustCache(mem.CacheConfig{Name: name, Sets: 8, Ways: 4, LineBytes: 32, HitLatency: 1, MissLatency: 40})
+	}
+	for _, e := range CycleAccurate() {
+		t.Run(e.Name, func(t *testing.T) {
+			cycles := func(cfg Config) int64 {
+				s, err := e.New(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done, err := s.StepTo(1 << 40); err != nil || !done {
+					t.Fatalf("run: done=%v err=%v", done, err)
+				}
+				c, _ := s.Progress()
+				return c
+			}
+			def := cycles(Config{})
+			for _, c := range []struct{ one, two mem.Hierarchy }{
+				{mem.Hierarchy{I: small("icache")}, mem.Hierarchy{I: small("icache"), D: e.Defaults().Caches.D}},
+				{mem.Hierarchy{D: small("dcache")}, mem.Hierarchy{I: e.Defaults().Caches.I, D: small("dcache")}},
+			} {
+				one, two := cycles(Config{Caches: c.one}), cycles(Config{Caches: c.two})
+				if one != two || one == def {
+					t.Errorf("one-cache override %d cycles, two-cache equivalent %d, all defaults %d", one, two, def)
+				}
+			}
+		})
 	}
 }

@@ -3,23 +3,18 @@ package diffrun
 import (
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
-	"rcpn/internal/bpred"
 	"rcpn/internal/genpipe5"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
-	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
 	"rcpn/internal/pipe5"
 	"rcpn/internal/ssim"
 )
 
 // Config is the microarchitecture subset a cycle-accurate engine takes from
-// its caller: the cache hierarchy and the branch predictor. Nil fields
-// select the engine's built-in defaults; functional engines ignore it.
-type Config struct {
-	Caches    mem.Hierarchy
-	Predictor bpred.Predictor
-}
+// its caller: the cache hierarchy and the branch predictor. Each nil unit
+// selects the engine's default for that unit; functional engines ignore it.
+type Config = machine.Units
 
 // Sim is what every engine builds: a simulator that steps in chunks,
 // checkpoints at drained boundaries and hosts observability attachments.
@@ -41,7 +36,7 @@ type Engine struct {
 	// Config and their checkpoints carry no warm state.
 	Functional bool
 	// Defaults returns fresh instances of the caches and predictor New
-	// uses when cfg leaves them nil (nil for functional engines). Warm
+	// uses for the units cfg leaves nil (nil for functional engines). Warm
 	// builds from it, so ISS-warmed checkpoints match the engine's
 	// geometry.
 	Defaults func() Config
@@ -69,17 +64,8 @@ func (e Engine) Warm(cfg Config) func(c *iss.CPU) {
 		return nil
 	}
 	return func(c *iss.CPU) {
-		def := e.Defaults()
-		c.WarmI, c.WarmD, c.WarmPred = def.Caches.I, def.Caches.D, def.Predictor
-		if cfg.Caches.I != nil {
-			c.WarmI = cfg.Caches.I
-		}
-		if cfg.Caches.D != nil {
-			c.WarmD = cfg.Caches.D
-		}
-		if cfg.Predictor != nil {
-			c.WarmPred = cfg.Predictor
-		}
+		u := cfg.Or(e.Defaults)
+		c.WarmI, c.WarmD, c.WarmPred = u.Caches.I, u.Caches.D, u.Predictor
 	}
 }
 
@@ -102,26 +88,22 @@ func Engines() []Engine {
 				return machine.NewFunctional(p, machine.Config{}), nil
 			},
 			State: machineState},
-		{Name: "strongarm", Defaults: strongARMDefaults,
+		{Name: "strongarm", Defaults: machine.StrongARMUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
 				return machine.NewStrongARM(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
-		{Name: "xscale", Defaults: xscaleDefaults,
+		{Name: "xscale", Defaults: machine.XScaleUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
 				return machine.NewXScale(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
-		{Name: "arm9", Defaults: strongARMDefaults,
+		{Name: "arm9", Defaults: machine.StrongARMUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
-				m, err := machine.NewARM9(p, machineConfig(cfg))
-				if err != nil {
-					return nil, err
-				}
-				return m, nil
+				return machine.NewARM9(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
-		{Name: "pipe5", Defaults: strongARMDefaults,
+		{Name: "pipe5", Defaults: machine.StrongARMUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
 				return pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}), nil
 			},
@@ -130,7 +112,7 @@ func Engines() []Engine {
 				return StateOf(func(r arm.Reg) uint32 { return ps.R[r] },
 					ps.F, ps.Mem, ps.Instret, ps.ExitCode, ps.Output, ps.Text)
 			}},
-		{Name: "ssim", Defaults: strongARMDefaults,
+		{Name: "ssim", Defaults: machine.StrongARMUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
 				return ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}), nil
 			},
@@ -138,7 +120,7 @@ func Engines() []Engine {
 				ss := s.(*ssim.Sim)
 				return StateOf(ss.Reg, ss.Flags(), ss.Mem(), ss.Instret, ss.ExitCode(), ss.Output(), ss.Text())
 			}},
-		{Name: "genpipe5", Defaults: strongARMDefaults,
+		{Name: "genpipe5", Defaults: machine.StrongARMUnits,
 			New: func(p *arm.Program, cfg Config) (Sim, error) {
 				return genpipe5.New(p, machineConfig(cfg)), nil
 			},
@@ -153,14 +135,6 @@ func machineConfig(cfg Config) machine.Config {
 func machineState(s Sim) State {
 	m := s.(*machine.Machine)
 	return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-}
-
-func strongARMDefaults() Config {
-	return Config{Caches: mem.DefaultStrongARM(), Predictor: bpred.NewNotTaken()}
-}
-
-func xscaleDefaults() Config {
-	return Config{Caches: mem.DefaultXScale(), Predictor: bpred.NewBimodal(128)}
 }
 
 // Lookup returns the registry row called name.

@@ -12,41 +12,16 @@ import (
 // building the *real* net (machine.Generate on a throwaway program) and
 // walking its compiled structures — the reverse topological place order and
 // the sorted_transitions[place, class] table — exactly as the interpreted
-// engine would. The spec is re-walked in parallel only to recover each
-// transition's semantic role (which ops.go call its action performs), since
-// the net stores actions as opaque closures; every recovered role is then
-// cross-validated against the compiled transition (guard/explain presence,
-// capacity facts, self-loop shape), so a drift between the two walks is an
-// analysis error, never miscompiled output.
-
-// candKind names the semantic body of one compiled transition — the direct
-// calls the emitter inlines in place of the interpreted Action/Guard
-// closures.
-type candKind int
-
-const (
-	kPass       candKind = iota // move only, no architected work
-	kIssue                      // operand read + destination reservation
-	kIssueMult                  // issue + data-dependent multiplier latency
-	kExecute                    // ALU work, branch/PC resolution
-	kExecuteMem                 // execute + D-cache latency acquisition
-	kMemAccess                  // functional memory access
-	kLSMStep                    // block-transfer stay loop (self-loop)
-	kLSMLast                    // block-transfer completion
-	kWriteback                  // architected commit (+ trap effects)
-	kMemWB                      // fused memory access + writeback
-	kLSMLastWB                  // fused block-transfer completion + writeback
-)
-
-func (k candKind) needsGuard() bool   { return k == kIssue || k == kIssueMult || k == kLSMStep }
-func (k candKind) needsExplain() bool { return k == kIssue || k == kIssueMult }
-func (k candKind) selfLoop() bool     { return k == kLSMStep }
+// engine would. Each transition's semantics is the machine.OpKind Generate
+// lowered it to and recorded on the built machine, so the interpreter and
+// the generator share one lowering; the analyzer only checks that the net
+// stays inside the subset the emitter can compile.
 
 // cand is one sorted_transitions cell entry: the compiled transition plus
-// its recovered semantics.
+// the operation it performs.
 type cand struct {
 	tr   *core.Transition
-	kind candKind
+	kind machine.OpKind
 }
 
 // stageInfo is one finite pipeline stage (one place, capacity 1) of the
@@ -63,7 +38,9 @@ type stageInfo struct {
 
 // model is everything the emitter needs, fully validated.
 type model struct {
-	spec     machine.Spec
+	// name is the generated simulator's model name: the Spec's name plus
+	// "-gen", which tells its errors apart from the interpreted model's.
+	name     string
 	stages   []stageInfo
 	order    []int // stage ids in reverse topological (evaluation) order
 	endName  string
@@ -94,76 +71,6 @@ func sanitizeIdent(name string) string {
 	return string(out)
 }
 
-// roleKinds recovers the (transition name -> semantics) map by re-walking
-// the spec in the exact order and naming scheme machine.Generate uses.
-func roleKinds(spec machine.Spec) (map[string]candKind, error) {
-	desc := map[string]candKind{}
-	add := func(name string, k candKind) error {
-		if _, dup := desc[name]; dup {
-			return fmt.Errorf("gen: duplicate transition name %q", name)
-		}
-		desc[name] = k
-		return nil
-	}
-	for i := 0; i+1 < len(spec.FrontEnd); i++ {
-		if err := add("fe."+spec.FrontEnd[i+1], kPass); err != nil {
-			return nil, err
-		}
-	}
-	for c := arm.Class(0); c < arm.NumClasses; c++ {
-		for _, seg := range spec.Routes[c] {
-			name := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit)
-			var err error
-			switch seg.Exit {
-			case machine.RolePass:
-				err = add(name, kPass)
-			case machine.RoleIssue:
-				k := kIssue
-				if c == arm.ClassMult {
-					k = kIssueMult
-				}
-				err = add(name, k)
-			case machine.RoleExecute:
-				k := kExecute
-				if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
-					k = kExecuteMem
-				}
-				err = add(name, k)
-			case machine.RoleMem:
-				switch c {
-				case arm.ClassLoadStore:
-					err = add(name, kMemAccess)
-				case arm.ClassLoadStoreM:
-					if err = add(name+"step", kLSMStep); err == nil {
-						err = add(name+"last", kLSMLast)
-					}
-				default:
-					err = add(name, kPass)
-				}
-			case machine.RoleWriteback:
-				err = add(name, kWriteback)
-			case machine.RoleMemWriteback:
-				switch c {
-				case arm.ClassLoadStore:
-					err = add(name, kMemWB)
-				case arm.ClassLoadStoreM:
-					if err = add(name+"step", kLSMStep); err == nil {
-						err = add(name+"last", kLSMLastWB)
-					}
-				default:
-					err = add(name, kWriteback)
-				}
-			default:
-				err = fmt.Errorf("gen: class %v: unknown role %v", c, seg.Exit)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return desc, nil
-}
-
 func analyze(spec machine.Spec) (*model, error) {
 	if int(arm.NumClasses) != len(classConstNames) {
 		return nil, fmt.Errorf("gen: class table out of date (%d classes, %d names)",
@@ -189,12 +96,7 @@ func analyze(spec machine.Spec) (*model, error) {
 		return nil, fmt.Errorf("gen: want exactly one source transition, have %d", len(net.Sources()))
 	}
 
-	desc, err := roleKinds(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &model{spec: spec, macExtra: spec.MACExtra}
+	m := &model{name: spec.Name + "-gen", macExtra: spec.MACExtra}
 
 	// Stages: one capacity-1 place per finite stage, end place created last.
 	places := net.Places()
@@ -251,19 +153,6 @@ func analyze(spec machine.Spec) (*model, error) {
 		if len(t.Reads) != 0 {
 			return nil, fmt.Errorf("gen: transition %s: Reads arcs are not supported", t.Name)
 		}
-		k, ok := desc[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("gen: transition %s: no spec segment produces it", t.Name)
-		}
-		if (t.Guard != nil) != k.needsGuard() {
-			return nil, fmt.Errorf("gen: transition %s: guard presence does not match role", t.Name)
-		}
-		if (t.Explain != nil) != k.needsExplain() {
-			return nil, fmt.Errorf("gen: transition %s: explain presence does not match role", t.Name)
-		}
-		if (t.From == t.To) != k.selfLoop() {
-			return nil, fmt.Errorf("gen: transition %s: self-loop shape does not match role", t.Name)
-		}
 		if want := t.To != t.From && !t.To.End; t.NeedsCapacity() != want {
 			return nil, fmt.Errorf("gen: transition %s: NeedsCapacity=%v, derived %v",
 				t.Name, t.NeedsCapacity(), want)
@@ -282,7 +171,7 @@ func analyze(spec machine.Spec) (*model, error) {
 		st.cands = make([][]cand, int(arm.NumClasses))
 		for c := 0; c < int(arm.NumClasses); c++ {
 			for _, t := range net.SortedTransitions(p, core.ClassID(c)) {
-				st.cands[c] = append(st.cands[c], cand{tr: t, kind: desc[t.Name]})
+				st.cands[c] = append(st.cands[c], cand{tr: t, kind: mach.OpKind(t)})
 			}
 		}
 	}

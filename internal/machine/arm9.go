@@ -2,51 +2,19 @@ package machine
 
 import "rcpn/internal/arm"
 
-// StrongARMSpec is the five-stage SA-110 written in the declarative layer.
-// Generate(p, StrongARMSpec(), cfg) produces a simulator cycle-identical to
-// the hand-built NewStrongARM (the generation-equivalence test enforces
-// this), demonstrating that the Spec layer loses nothing against
-// hand-written model code.
-func StrongARMSpec() Spec {
-	route := func() []Seg {
-		return []Seg{
-			{Stage: "FD", Exit: RoleIssue},
-			{Stage: "EX", Exit: RoleExecute},
-			{Stage: "ME", Exit: RoleMem},
-			{Stage: "WB", Exit: RoleWriteback},
-		}
-	}
-	routes := map[arm.Class][]Seg{}
-	for c := arm.Class(0); c < arm.NumClasses; c++ {
-		routes[c] = route()
-	}
-	return Spec{
-		Name: "strongarm-gen",
-		Stages: []StageSpec{
-			{Name: "FD"}, {Name: "EX"}, {Name: "ME"}, {Name: "WB"},
-		},
-		FrontEnd: []string{"FD"},
-		Routes:   routes,
-		Bypass:   []string{"ME", "WB"},
-	}
-}
-
 // ARM9Spec describes an ARM9TDMI-like machine: the same classic in-order
 // organization as the StrongARM but with a two-stage fetch (the ARM9 splits
 // fetch and decode further), which deepens the taken-branch penalty by one
-// cycle.
+// cycle. It uses StrongARM-class units.
 func ARM9Spec() Spec {
-	route := func() []Seg {
-		return []Seg{
+	routes := map[arm.Class][]Seg{}
+	for c := arm.Class(0); c < arm.NumClasses; c++ {
+		routes[c] = []Seg{
 			{Stage: "DE", Exit: RoleIssue},
 			{Stage: "EX", Exit: RoleExecute},
 			{Stage: "ME", Exit: RoleMem},
 			{Stage: "WB", Exit: RoleWriteback},
 		}
-	}
-	routes := map[arm.Class][]Seg{}
-	for c := arm.Class(0); c < arm.NumClasses; c++ {
-		routes[c] = route()
 	}
 	return Spec{
 		Name: "arm9",
@@ -56,54 +24,11 @@ func ARM9Spec() Spec {
 		FrontEnd: []string{"F1", "DE"},
 		Routes:   routes,
 		Bypass:   []string{"ME", "WB"},
+		Units:    StrongARMUnits,
 	}
 }
 
-// NewARM9 builds the ARM9-like model from its Spec — a third processor that
-// exists purely through the declarative layer.
-func NewARM9(p *arm.Program, cfg Config) (*Machine, error) {
-	return Generate(p, ARM9Spec(), cfg)
-}
-
-// XScaleSpec is the Fig. 9 XScale written declaratively: a four-stage
-// shared front end and three parallel back ends (ALU, memory, MAC). The
-// generation-equivalence test pins it cycle-identical to the hand-built
-// NewXScale. Pass xscale units (32KB caches, bimodal predictor) in the
-// Config; Generate's defaults are StrongARM-class.
-func XScaleSpec() Spec {
-	alu := []Seg{
-		{Stage: "RF", Exit: RoleIssue},
-		{Stage: "X1", Exit: RoleExecute},
-		{Stage: "X2", Exit: RoleWriteback},
-	}
-	memPipe := []Seg{
-		{Stage: "RF", Exit: RoleIssue},
-		{Stage: "D1", Exit: RoleExecute},
-		{Stage: "D2", Exit: RoleMemWriteback},
-	}
-	mac := []Seg{
-		{Stage: "RF", Exit: RoleIssue},
-		{Stage: "M1", Exit: RoleExecute},
-		{Stage: "M2", Exit: RoleWriteback},
-	}
-	return Spec{
-		Name: "xscale-gen",
-		Stages: []StageSpec{
-			{Name: "F1"}, {Name: "F2"}, {Name: "ID"}, {Name: "RF"},
-			{Name: "X1"}, {Name: "X2"},
-			{Name: "D1"}, {Name: "D2"},
-			{Name: "M1"}, {Name: "M2"},
-		},
-		FrontEnd: []string{"F1", "F2", "ID", "RF"},
-		Routes: map[arm.Class][]Seg{
-			arm.ClassDataProc:   alu,
-			arm.ClassBranch:     alu,
-			arm.ClassSystem:     alu,
-			arm.ClassLoadStore:  memPipe,
-			arm.ClassLoadStoreM: memPipe,
-			arm.ClassMult:       mac,
-		},
-		Bypass:   []string{"X2", "D2", "M2"},
-		MACExtra: 1,
-	}
+// NewARM9 builds the ARM9-like model from its Spec.
+func NewARM9(p *arm.Program, cfg Config) *Machine {
+	return mustGenerate(p, ARM9Spec(), cfg)
 }

@@ -1,10 +1,11 @@
-package machine
+package machine_test
 
 import (
 	"testing"
 
 	"rcpn/internal/arm"
 	"rcpn/internal/iss"
+	"rcpn/internal/machine"
 	"rcpn/internal/pipe5"
 	"rcpn/internal/ssim"
 )
@@ -37,19 +38,19 @@ func crossCheckAll(t *testing.T, src string) {
 		}
 	}
 
-	sa := NewStrongARM(p, Config{})
+	sa := machine.NewStrongARM(p, machine.Config{})
 	if err := sa.Run(0); err != nil {
 		t.Fatalf("strongarm: %v", err)
 	}
 	check("strongarm", sa.Output, sa.ExitCode, sa.Instret)
 
-	xs := NewXScale(p, Config{})
+	xs := machine.NewXScale(p, machine.Config{})
 	if err := xs.Run(0); err != nil {
 		t.Fatalf("xscale: %v", err)
 	}
 	check("xscale", xs.Output, xs.ExitCode, xs.Instret)
 
-	fn := NewFunctional(p, Config{})
+	fn := machine.NewFunctional(p, machine.Config{})
 	if err := fn.RunFunctional(0); err != nil {
 		t.Fatalf("functional: %v", err)
 	}

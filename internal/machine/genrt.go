@@ -18,13 +18,13 @@ import (
 // reg.Ref.CanReadIn works unchanged.
 
 // NewGenRuntime builds the net-free Machine a generated simulator drives.
-// It uses the same default units as machine.Generate (StrongARM caches,
-// not-taken prediction) so a generated model and its interpreted twin are
+// Units cfg leaves nil are StrongARM-class (StrongARMUnits), the defaults of
+// every compilable Spec, so a generated model and its interpreted twin are
 // cycle-comparable under identical configs. The pipeline ablation flags
 // (TwoListAll, DynamicSearch, NoActiveList) have no net to act on and are
 // ignored; NoTokenCache still disables the decode cache.
 func NewGenRuntime(name string, p *arm.Program, cfg Config) *Machine {
-	return newMachine(name, p, cfg, defaultStrongARMUnits)
+	return newMachine(name, p, cfg, StrongARMUnits)
 }
 
 // GenFetch is fetchOne for generated simulators: decode (or reuse) the

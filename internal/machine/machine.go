@@ -4,10 +4,10 @@
 // set through six operation-class sub-nets, plus the shared fetch,
 // speculation, system-call and statistics plumbing every model needs.
 //
-// A Machine is the paper's "generated simulator": the model file
-// (strongarm.go / xscale.go) declares stages, places and transitions that
-// mirror the processor's pipeline block diagram; internal/core executes them
-// with the optimized engine.
+// A Machine is the paper's "generated simulator": each model file
+// (strongarm.go / xscale.go / arm9.go) declares a Spec that mirrors the
+// processor's pipeline block diagram, Generate (spec.go) lowers it to an
+// RCPN, and internal/core executes that with the optimized engine.
 package machine
 
 import (
@@ -102,8 +102,9 @@ type Machine struct {
 	// genFlush, when set (SetGenFlush), squashes young instructions out of a
 	// generated simulator's latches in place of the net walk.
 	genFlush func(youngerThan uint64) []*Inst
-
-	classNames []string
+	// opKinds records, per transition ID, the operation Generate lowered
+	// each transition to (OpKind).
+	opKinds []OpKind
 }
 
 // packFlags packs NZCV into the PSR cell representation.
@@ -128,9 +129,13 @@ func unpackFlags(v uint32) arm.Flags {
 	return arm.Flags{N: v&8 != 0, Z: v&4 != 0, C: v&2 != 0, V: v&1 != 0}
 }
 
-// newMachine builds the model-independent parts.
-func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config)) *Machine {
-	defaults(&cfg)
+// newMachine builds the model-independent parts. units, when non-nil,
+// supplies the caches and predictor cfg leaves nil.
+func newMachine(name string, p *arm.Program, cfg Config, units func() Units) *Machine {
+	if units != nil {
+		u := Units{Caches: cfg.Caches, Predictor: cfg.Predictor}.Or(units)
+		cfg.Caches, cfg.Predictor = u.Caches, u.Predictor
+	}
 	if cfg.StackTop == 0 {
 		cfg.StackTop = 0x00400000
 	}
@@ -147,9 +152,6 @@ func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config))
 		pool:      make([][]*Inst, (len(p.Bytes)+4)/4),
 		poolExtra: map[uint32][]*Inst{},
 		entry:     p.Entry,
-		classNames: []string{
-			"DataProc", "Mult", "LoadStore", "LoadStoreM", "Branch", "System",
-		},
 	}
 	for i := 0; i < 16; i++ {
 		m.regs[i] = m.GPR.Register(arm.Reg(i).String(), i)
@@ -208,7 +210,13 @@ func (m *Machine) Run(maxCycles int64) error {
 }
 
 // Dot renders the model's RCPN in Graphviz format.
-func (m *Machine) Dot() string { return m.Net.Dot(m.classNames) }
+func (m *Machine) Dot() string {
+	names := make([]string, arm.NumClasses)
+	for c := range names {
+		names[c] = arm.Class(c).String()
+	}
+	return m.Net.Dot(names)
+}
 
 // fail records a fatal simulation error (undefined instruction, unknown
 // system call) surfaced out of transition actions.

@@ -17,6 +17,7 @@ import (
 
 	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
+	"rcpn/internal/machine"
 	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
 )
@@ -105,12 +106,8 @@ type Sim struct {
 // New builds a baseline simulator with the program loaded. Defaults match
 // the StrongARM configuration (16KB caches, static not-taken branches).
 func New(p *arm.Program, cfg Config) *Sim {
-	if cfg.Caches.I == nil {
-		cfg.Caches = mem.DefaultStrongARM()
-	}
-	if cfg.Predictor == nil {
-		cfg.Predictor = bpred.NewNotTaken()
-	}
+	u := machine.Units{Caches: cfg.Caches, Predictor: cfg.Predictor}.Or(machine.StrongARMUnits)
+	cfg.Caches, cfg.Predictor = u.Caches, u.Predictor
 	if cfg.StackTop == 0 {
 		cfg.StackTop = 0x00400000
 	}

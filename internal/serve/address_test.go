@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"rcpn/internal/batch"
+	"rcpn/internal/diffrun"
 )
 
 // TestContentAddressesPinned: a spec's content address names its durable
@@ -62,6 +69,64 @@ func TestContentAddressesPinned(t *testing.T) {
 		}
 		if got := s.ID(); got != p.id {
 			t.Errorf("%s: content address %s, pinned %s", p.spec, got, p.id)
+		}
+	}
+}
+
+// TestOneCacheSpecMatchesTwoCacheSpec: a spec overriding one cache runs
+// with the simulator's default for the other, so it normalizes to the spec
+// spelling both caches out — same content address, same result bytes — and
+// the override really changes the run.
+func TestOneCacheSpecMatchesTwoCacheSpec(t *testing.T) {
+	const small = `{"sets":8,"ways":4,"line_bytes":32,"hit_latency":1,"miss_latency":40}`
+	spelled := func(c any) string {
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	parse := func(body string) *JobSpec {
+		s, err := ParseSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return s
+	}
+	result := func(s *JobSpec) ([]byte, int64) {
+		m, _, err := ExecuteSpec(context.Background(), s, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Canonical(), err)
+		}
+		res := batch.Result{Simulator: s.Simulator, Workload: s.WorkloadLabel(), Config: s.ConfigLabel(), Metrics: m}
+		b, err := (&batch.Report{Results: []batch.Result{res}}).JSON(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, m.Cycles
+	}
+	for _, e := range diffrun.CycleAccurate() {
+		def := e.Defaults().Caches
+		defI, defD := spelled(cacheSpecOf(def.I.Config())), spelled(cacheSpecOf(def.D.Config()))
+		for _, extra := range []string{"", `,"parallelism":2`} {
+			_, plain := result(parse(fmt.Sprintf(`{"simulator":%q,"kernel":"crc"%s}`, e.Name, extra)))
+			for _, pair := range [][2]string{
+				{`"icache":` + small, `"icache":` + small + `,"dcache":` + defD},
+				{`"dcache":` + small, `"icache":` + defI + `,"dcache":` + small},
+			} {
+				one := parse(fmt.Sprintf(`{"simulator":%q,"kernel":"crc","config":{%s}%s}`, e.Name, pair[0], extra))
+				two := parse(fmt.Sprintf(`{"simulator":%q,"kernel":"crc","config":{%s}%s}`, e.Name, pair[1], extra))
+				if one.ID() != two.ID() {
+					t.Errorf("%s: content address %s, two-cache equivalent %s", one.Canonical(), one.ID(), two.ID())
+				}
+				got, cycles := result(one)
+				if want, _ := result(two); !bytes.Equal(got, want) {
+					t.Errorf("%s: result\n%s\ntwo-cache equivalent\n%s", one.Canonical(), got, want)
+				}
+				if cycles == plain {
+					t.Errorf("%s: override did not change the cycle count", one.Canonical())
+				}
+			}
 		}
 	}
 }

@@ -33,6 +33,12 @@ type CacheSpec struct {
 	MissLatency int `json:"miss_latency"`
 }
 
+// cacheSpecOf spells out an existing cache's geometry and timing.
+func cacheSpecOf(c mem.CacheConfig) *CacheSpec {
+	return &CacheSpec{Sets: c.Sets, Ways: c.Ways, LineBytes: c.LineBytes,
+		HitLatency: c.HitLatency, MissLatency: c.MissLatency}
+}
+
 func (c *CacheSpec) cache(name string) (*mem.Cache, error) {
 	return mem.NewCache(mem.CacheConfig{Name: name, Sets: c.Sets, Ways: c.Ways,
 		LineBytes: c.LineBytes, HitLatency: c.HitLatency, MissLatency: c.MissLatency})
@@ -214,6 +220,18 @@ func (s *JobSpec) Normalize() error {
 	}
 	if eng.Functional && !s.Config.isZero() {
 		return specErrf("simulator %q is functional and takes no cache/bpred config", s.Simulator)
+	}
+	// A one-cache override runs with the simulator's default for the other
+	// cache. Spelling that default out gives the spec the content address of
+	// its two-cache equivalent, so it can never be served a result cached
+	// when engines dropped the missing cache or ignored a lone D-cache.
+	if (s.Config.ICache == nil) != (s.Config.DCache == nil) {
+		def := eng.Defaults().Caches
+		if s.Config.ICache == nil {
+			s.Config.ICache = cacheSpecOf(def.I.Config())
+		} else {
+			s.Config.DCache = cacheSpecOf(def.D.Config())
+		}
 	}
 	if _, err := s.config(); err != nil {
 		return err

@@ -34,6 +34,7 @@ import (
 	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
 	"rcpn/internal/iss"
+	"rcpn/internal/machine"
 	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
 )
@@ -206,12 +207,8 @@ func (s *Sim) popIFQ() {
 
 // New builds the baseline with the program loaded.
 func New(p *arm.Program, cfg Config) *Sim {
-	if cfg.Caches.I == nil {
-		cfg.Caches = mem.DefaultStrongARM()
-	}
-	if cfg.Predictor == nil {
-		cfg.Predictor = bpred.NewNotTaken()
-	}
+	u := machine.Units{Caches: cfg.Caches, Predictor: cfg.Predictor}.Or(machine.StrongARMUnits)
+	cfg.Caches, cfg.Predictor = u.Caches, u.Predictor
 	if cfg.RUUSize <= 0 {
 		cfg.RUUSize = 8
 	}
