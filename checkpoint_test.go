@@ -32,7 +32,7 @@ const runLimit = int64(1) << 40
 
 // runTo runs st until at least target instructions have retired and then
 // drains it to a checkpointable boundary.
-func runTo(t *testing.T, st batch.CheckpointStepper, target uint64) {
+func runTo(t *testing.T, st batch.Sim, target uint64) {
 	t.Helper()
 	if _, err := st.StepToRetired(target, runLimit); err != nil {
 		t.Fatal(err)
@@ -43,14 +43,14 @@ func runTo(t *testing.T, st batch.CheckpointStepper, target uint64) {
 }
 
 // finish runs st to program exit.
-func finish(t *testing.T, st batch.CheckpointStepper) {
+func finish(t *testing.T, st batch.Sim) {
 	t.Helper()
 	if exited, err := st.StepTo(runLimit); err != nil || !exited {
 		t.Fatalf("run to exit: exited=%v err=%v", exited, err)
 	}
 }
 
-func build(t *testing.T, e diffrun.Engine, p *arm.Program) (batch.CheckpointStepper, func() diffrun.State) {
+func build(t *testing.T, e diffrun.Engine, p *arm.Program) (batch.Sim, func() diffrun.State) {
 	t.Helper()
 	st, state, err := e.Build(p)
 	if err != nil {
@@ -59,7 +59,7 @@ func build(t *testing.T, e diffrun.Engine, p *arm.Program) (batch.CheckpointStep
 	return st, state
 }
 
-func snapshot(t *testing.T, st batch.CheckpointStepper) *ckpt.Checkpoint {
+func snapshot(t *testing.T, st batch.Sim) *ckpt.Checkpoint {
 	t.Helper()
 	ck, err := st.Checkpoint()
 	if err != nil {

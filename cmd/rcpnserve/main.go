@@ -71,7 +71,7 @@ func main() {
 	cache := flag.Int("cache", 1024, "result cache entries")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-job deadline")
 	drain := flag.Duration("drain", 30*time.Second, "grace period for in-flight jobs on shutdown")
-	maxCycles := flag.Int64("maxcycles", 1<<32, "default per-job cycle cap (when the spec sets none)")
+	maxCycles := flag.Int64("maxcycles", 1<<32, "per-job cycle cap; a spec's max_cycles applies only below it")
 	data := flag.String("data", "", "data directory for crash-safe durability (empty = memory-only)")
 	attempts := flag.Int("attempts", 3, "max executions before a transiently failing job is poisoned")
 	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "first retry backoff (doubles per attempt)")

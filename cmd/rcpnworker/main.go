@@ -42,7 +42,7 @@ func main() {
 	node := flag.String("node", "", "worker name on the ring (default host:pid)")
 	slots := flag.Int("slots", 0, "concurrent job capacity (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-job deadline (must match the coordinator's)")
-	maxCycles := flag.Int64("maxcycles", 1<<32, "default per-job cycle cap (must match the coordinator's)")
+	maxCycles := flag.Int64("maxcycles", 1<<32, "per-job cycle cap; a spec's max_cycles applies only below it (must match the coordinator's)")
 	data := flag.String("data", "", "shared result store directory for orphaned-result adoption (empty = none)")
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "ping interval (must match the coordinator's)")
 	faultPlan := flag.String("faultinj", "", "deterministic fault-injection plan (testing only)")

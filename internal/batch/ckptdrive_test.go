@@ -14,6 +14,7 @@ import (
 // the real cycle simulators, so tests must wrap it with Resumed to get
 // continuous positions.
 type fakeCkptStepper struct {
+	Sim
 	cycles  int64
 	instret uint64
 	phase   int    // progress through the current 2-cycle instruction
@@ -80,8 +81,12 @@ func TestDriveCkptChunkIndependent(t *testing.T) {
 	run := func(chunk int64) ([]boundary, int64, uint64) {
 		f := &fakeCkptStepper{total: 1000}
 		var bs []boundary
-		err := DriveCkpt(context.Background(), f, 0, chunk, 100,
-			func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+		err := Drive(context.Background(), f, 0, chunk, 100,
+			func(c int64, i uint64) error {
+				ck, err := f.Checkpoint()
+				if err != nil {
+					return err
+				}
 				if ck.Instret != i {
 					t.Fatalf("checkpoint instret %d != reported %d", ck.Instret, i)
 				}
@@ -124,8 +129,12 @@ func TestDriveCkptResumeRetraces(t *testing.T) {
 		ck *ckpt.Checkpoint
 	}
 	var all []saved
-	if err := DriveCkpt(context.Background(), donor, 0, 64, 100,
-		func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+	if err := Drive(context.Background(), donor, 0, 64, 100,
+		func(c int64, i uint64) error {
+			ck, err := donor.Checkpoint()
+			if err != nil {
+				return err
+			}
 			all = append(all, saved{boundary{i, c}, ck})
 			return nil
 		}, nil); err != nil {
@@ -139,8 +148,8 @@ func TestDriveCkptResumeRetraces(t *testing.T) {
 		}
 		st := Resumed(fresh, sv.b.cycles)
 		var rest []boundary
-		if err := DriveCkpt(context.Background(), st, 0, 64, 100,
-			func(i uint64, c int64, _ *ckpt.Checkpoint) error {
+		if err := Drive(context.Background(), st, 0, 64, 100,
+			func(c int64, i uint64) error {
 				rest = append(rest, boundary{i, c})
 				return nil
 			}, nil); err != nil {
@@ -162,30 +171,31 @@ func TestDriveCkptResumeRetraces(t *testing.T) {
 	}
 }
 
-// TestDriveCkptZeroInterval: interval 0 degrades to plain Drive — no drains,
-// no checkpoints, same completion.
+// TestDriveCkptZeroInterval: interval 0 is a plain run — no drains, no
+// boundary calls, same completion.
 func TestDriveCkptZeroInterval(t *testing.T) {
 	f := &fakeCkptStepper{total: 500}
 	called := false
-	err := DriveCkpt(context.Background(), f, 0, 64, 0,
-		func(uint64, int64, *ckpt.Checkpoint) error { called = true; return nil }, nil)
+	err := Drive(context.Background(), f, 0, 64, 0,
+		func(int64, uint64) error { called = true; return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if called {
-		t.Fatal("sink called with interval 0")
+		t.Fatal("boundary called with interval 0")
 	}
 	if f.instret != 500 {
 		t.Fatalf("instret %d, want 500", f.instret)
 	}
 }
 
-// TestDriveCkptSinkError: a sink failure aborts the run with that error.
+// TestDriveCkptSinkError: a boundary-hook failure aborts the run with that
+// error.
 func TestDriveCkptSinkError(t *testing.T) {
 	f := &fakeCkptStepper{total: 1000}
 	boom := errors.New("sink failed")
-	err := DriveCkpt(context.Background(), f, 0, 64, 100,
-		func(uint64, int64, *ckpt.Checkpoint) error { return boom }, nil)
+	err := Drive(context.Background(), f, 0, 64, 100,
+		func(int64, uint64) error { return boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
 	}
@@ -196,7 +206,7 @@ func TestDriveCkptCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := &fakeCkptStepper{total: 1 << 30}
-	err := DriveCkpt(ctx, f, 0, 64, 100, nil, nil)
+	err := Drive(ctx, f, 0, 64, 100, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -205,7 +215,7 @@ func TestDriveCkptCancel(t *testing.T) {
 // TestDriveCkptCap: the cumulative cap still stops a checkpointing run.
 func TestDriveCkptCap(t *testing.T) {
 	f := &fakeCkptStepper{total: 1 << 30}
-	err := DriveCkpt(context.Background(), f, 500, 64, 100, nil, nil)
+	err := Drive(context.Background(), f, 500, 64, 100, nil, nil)
 	if err == nil {
 		t.Fatal("cap 500 did not stop the run")
 	}

@@ -10,8 +10,9 @@ import (
 
 // fakeStepper simulates a program of totalLen steps, optionally failing at
 // failAt, honoring cumulative StepTo limits exactly like the real
-// simulators do.
+// simulators do. Plain runs call nothing beyond Pos, Progress and StepTo.
 type fakeStepper struct {
+	Sim
 	pos      int64
 	totalLen int64
 	failAt   int64 // 0 = never
@@ -36,7 +37,7 @@ func (f *fakeStepper) StepTo(limit int64) (bool, error) {
 func TestDriveRunsToCompletion(t *testing.T) {
 	f := &fakeStepper{totalLen: 1000}
 	var seen []int64
-	err := Drive(context.Background(), f, 0, 64, func(c int64, i uint64) { seen = append(seen, c) })
+	err := Drive(context.Background(), f, 0, 64, 0, nil, func(c int64, i uint64) { seen = append(seen, c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDriveRunsToCompletion(t *testing.T) {
 // error at the cap, not at the chunk boundary past it.
 func TestDriveCap(t *testing.T) {
 	f := &fakeStepper{totalLen: 1 << 30}
-	err := Drive(context.Background(), f, 500, 64, nil)
+	err := Drive(context.Background(), f, 500, 64, 0, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "cap 500 exceeded") {
 		t.Fatalf("err = %v", err)
 	}
@@ -75,7 +76,7 @@ func TestDriveCancel(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		first := true
-		done <- Drive(ctx, f, 0, 64, func(int64, uint64) {
+		done <- Drive(ctx, f, 0, 64, 0, nil, func(int64, uint64) {
 			if first {
 				close(started)
 				first = false
@@ -98,7 +99,7 @@ func TestDriveCancel(t *testing.T) {
 // mistaken for a chunk boundary.
 func TestDriveSimError(t *testing.T) {
 	f := &fakeStepper{totalLen: 1 << 20, failAt: 777}
-	err := Drive(context.Background(), f, 0, 64, nil)
+	err := Drive(context.Background(), f, 0, 64, 0, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "injected simulator fault") {
 		t.Fatalf("err = %v", err)
 	}
@@ -115,7 +116,7 @@ func TestCooperativeTimeout(t *testing.T) {
 		Run: func(ctx context.Context) (Metrics, error) {
 			defer close(stopped)
 			f := &fakeStepper{totalLen: 1 << 40}
-			err := Drive(ctx, f, 0, 1, func(int64, uint64) { time.Sleep(time.Millisecond) })
+			err := Drive(ctx, f, 0, 1, 0, nil, func(int64, uint64) { time.Sleep(time.Millisecond) })
 			return Metrics{Cycles: f.pos}, err
 		},
 	}}
@@ -152,7 +153,7 @@ func TestSweepCancel(t *testing.T) {
 				if i == 0 {
 					close(started)
 					f := &fakeStepper{totalLen: 1 << 40}
-					return Metrics{}, Drive(jctx, f, 0, 1, nil)
+					return Metrics{}, Drive(jctx, f, 0, 1, 0, nil, nil)
 				}
 				return Metrics{}, nil
 			},

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/iss"
 	"rcpn/internal/mem"
 )
@@ -98,7 +99,7 @@ func (s State) Diff(golden State) []string {
 // place.
 func (e Engine) WithProgramMutation(mutate func(words []uint32)) Engine {
 	inner := e.New
-	e.New = func(p *arm.Program, cfg Config) (Sim, error) {
+	e.New = func(p *arm.Program, cfg Config) (batch.Sim, error) {
 		words := p.Words()
 		mutate(words)
 		bytes := make([]byte, len(p.Bytes))

@@ -11,11 +11,11 @@ import (
 	"rcpn/internal/workload"
 )
 
-// Every engine is driven through the batch.Stepper surface it implements
+// Every engine is driven through the batch.Sim surface it implements
 // itself; these tests pin the properties the service and the time-parallel
 // runner rely on, for every registry row.
 
-func crcBuild(t *testing.T, e Engine) batch.CheckpointStepper {
+func crcBuild(t *testing.T, e Engine) batch.Sim {
 	t.Helper()
 	p, err := workload.ByName("crc").Program(1)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestChunkedEqualsOneShot(t *testing.T) {
 			}
 			wantC, wantI := one.Progress()
 			st := crcBuild(t, e)
-			if err := batch.Drive(context.Background(), st, 0, 4096, nil); err != nil {
+			if err := batch.Drive(context.Background(), st, 0, 4096, 0, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			gotC, gotI := st.Progress()
@@ -62,7 +62,7 @@ func TestDriveCancelStopsSimulator(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			chunks := 0
-			err := batch.Drive(ctx, st, 0, 1024, func(int64, uint64) {
+			err := batch.Drive(ctx, st, 0, 1024, 0, nil, func(int64, uint64) {
 				chunks++
 				if chunks == 3 {
 					cancel()
@@ -87,7 +87,7 @@ func TestDriveCapStopsSimulator(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.Name, func(t *testing.T) {
 			st := crcBuild(t, e)
-			if err := batch.Drive(context.Background(), st, 5000, 1024, nil); err == nil {
+			if err := batch.Drive(context.Background(), st, 5000, 1024, 0, nil, nil); err == nil {
 				t.Fatal("cap 5000 did not stop the crc kernel")
 			}
 			if pos := st.Pos(); pos != 5000 {
@@ -98,7 +98,7 @@ func TestDriveCapStopsSimulator(t *testing.T) {
 }
 
 // TestResumeIdenticalProgress is the engine-level half of the crash-safety
-// acceptance criterion: for every engine, a checkpointed DriveCkpt run that
+// acceptance criterion: for every engine, a checkpointing Drive run that
 // is cut short and then resumed — fresh instance, Restore from the
 // byte-round-tripped checkpoint, Resumed wrapper carrying the donor's cycle
 // count — finishes with exactly the cycle and instruction counts of the
@@ -117,8 +117,12 @@ func TestResumeIdenticalProgress(t *testing.T) {
 			}
 			var cks []saved
 			ref := crcBuild(t, e)
-			if err := batch.DriveCkpt(context.Background(), ref, 0, 4096, interval,
-				func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+			if err := batch.Drive(context.Background(), ref, 0, 4096, interval,
+				func(c int64, i uint64) error {
+					ck, err := ref.Checkpoint()
+					if err != nil {
+						return err
+					}
 					raw, err := ck.Bytes()
 					if err != nil {
 						return err
@@ -145,7 +149,7 @@ func TestResumeIdenticalProgress(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := batch.Resumed(fresh, sv.cycles)
-				if err := batch.DriveCkpt(context.Background(), st, 0, 4096, interval, nil, nil); err != nil {
+				if err := batch.Drive(context.Background(), st, 0, 4096, interval, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				gotC, gotI := st.Progress()
@@ -158,7 +162,7 @@ func TestResumeIdenticalProgress(t *testing.T) {
 	}
 }
 
-// TestResumeChunkIndependent: the checkpoint schedule of DriveCkpt does not
+// TestResumeChunkIndependent: the checkpoint schedule of Drive does not
 // move when the chunk size changes — the property that lets a resumed run
 // (whose first chunk boundary lands elsewhere) retrace the donor's
 // boundaries exactly.
@@ -167,8 +171,8 @@ func TestResumeChunkIndependent(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			run := func(chunk int64) (bounds []uint64, cycles []int64) {
 				st := crcBuild(t, e)
-				if err := batch.DriveCkpt(context.Background(), st, 0, chunk, 2000,
-					func(i uint64, c int64, _ *ckpt.Checkpoint) error {
+				if err := batch.Drive(context.Background(), st, 0, chunk, 2000,
+					func(c int64, i uint64) error {
 						bounds = append(bounds, i)
 						cycles = append(cycles, c)
 						return nil

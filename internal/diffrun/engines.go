@@ -6,7 +6,6 @@ import (
 	"rcpn/internal/genpipe5"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
-	"rcpn/internal/obsv"
 	"rcpn/internal/pipe5"
 	"rcpn/internal/ssim"
 )
@@ -16,21 +15,13 @@ import (
 // selects the engine's default for that unit; functional engines ignore it.
 type Config = machine.Units
 
-// Sim is what every engine builds: a simulator that steps in chunks,
-// checkpoints at drained boundaries and hosts observability attachments.
-// Every simulator in the repository implements it directly.
-type Sim interface {
-	batch.CheckpointStepper
-	obsv.Instrumentable
-}
-
 // Engine is one registry row — the only place an engine is wired in. The
 // conformance matrix, the fuzzer, the service, the time-parallel runner,
 // the CLIs and the Figure 10/11 tables all iterate Engines().
 type Engine struct {
 	Name string
 	// New builds a fresh instance on p.
-	New func(p *arm.Program, cfg Config) (Sim, error)
+	New func(p *arm.Program, cfg Config) (batch.Sim, error)
 	// Functional engines count instructions, not cycles: Pos and the caps
 	// are instruction counts, Progress reports zero cycles, they take no
 	// Config and their checkpoints carry no warm state.
@@ -41,12 +32,12 @@ type Engine struct {
 	// geometry.
 	Defaults func() Config
 	// State extracts the architectural state of an instance New built.
-	State func(s Sim) State
+	State func(s batch.Sim) State
 }
 
 // Build constructs a default-configured instance on p and returns its
 // stepper plus a closure extracting the instance's architectural state.
-func (e Engine) Build(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+func (e Engine) Build(p *arm.Program) (batch.Sim, func() State, error) {
 	s, err := e.New(p, Config{})
 	if err != nil {
 		return nil, nil, err
@@ -77,54 +68,54 @@ func (e Engine) Warm(cfg Config) func(c *iss.CPU) {
 func Engines() []Engine {
 	return []Engine{
 		{Name: "iss", Functional: true,
-			New: func(p *arm.Program, _ Config) (Sim, error) { return iss.New(p, 0), nil },
-			State: func(s Sim) State {
+			New: func(p *arm.Program, _ Config) (batch.Sim, error) { return iss.New(p, 0), nil },
+			State: func(s batch.Sim) State {
 				c := s.(*iss.CPU)
 				return StateOf(func(r arm.Reg) uint32 { return c.R[r] },
 					c.F, c.Mem, c.Instret, c.Exit, c.Output, c.Text)
 			}},
 		{Name: "func", Functional: true,
-			New: func(p *arm.Program, _ Config) (Sim, error) {
+			New: func(p *arm.Program, _ Config) (batch.Sim, error) {
 				return machine.NewFunctional(p, machine.Config{}), nil
 			},
 			State: machineState},
 		{Name: "strongarm", Defaults: machine.StrongARMUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return machine.NewStrongARM(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
 		{Name: "xscale", Defaults: machine.XScaleUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return machine.NewXScale(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
 		{Name: "arm9", Defaults: machine.StrongARMUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return machine.NewARM9(p, machineConfig(cfg)), nil
 			},
 			State: machineState},
 		{Name: "pipe5", Defaults: machine.StrongARMUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}), nil
 			},
-			State: func(s Sim) State {
+			State: func(s batch.Sim) State {
 				ps := s.(*pipe5.Sim)
 				return StateOf(func(r arm.Reg) uint32 { return ps.R[r] },
 					ps.F, ps.Mem, ps.Instret, ps.ExitCode, ps.Output, ps.Text)
 			}},
 		{Name: "ssim", Defaults: machine.StrongARMUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}), nil
 			},
-			State: func(s Sim) State {
+			State: func(s batch.Sim) State {
 				ss := s.(*ssim.Sim)
 				return StateOf(ss.Reg, ss.Flags(), ss.Mem(), ss.Instret, ss.ExitCode(), ss.Output(), ss.Text())
 			}},
 		{Name: "genpipe5", Defaults: machine.StrongARMUnits,
-			New: func(p *arm.Program, cfg Config) (Sim, error) {
+			New: func(p *arm.Program, cfg Config) (batch.Sim, error) {
 				return genpipe5.New(p, machineConfig(cfg)), nil
 			},
-			State: func(s Sim) State { return machineState(s.(*genpipe5.Sim).Runtime()) }},
+			State: func(s batch.Sim) State { return machineState(s.(*genpipe5.Sim).Runtime()) }},
 	}
 }
 
@@ -132,7 +123,7 @@ func machineConfig(cfg Config) machine.Config {
 	return machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}
 }
 
-func machineState(s Sim) State {
+func machineState(s batch.Sim) State {
 	m := s.(*machine.Machine)
 	return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
 }

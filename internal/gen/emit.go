@@ -510,7 +510,7 @@ func emit(m *model, opts Options) []byte {
 	e.f("if s.prof == nil {\ns.prof = obsv.NewStallProfile(stageNames...)\ns.m.InstallProfile(s.prof)\n}\n")
 	e.f("return s.prof\n}\n\n")
 
-	e.f("var (\n_ batch.CheckpointStepper = (*Sim)(nil)\n_ obsv.Instrumentable = (*Sim)(nil)\n)\n")
+	e.f("var _ batch.Sim = (*Sim)(nil)\n")
 
 	return e.buf.Bytes()
 }

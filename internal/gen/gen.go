@@ -7,7 +7,7 @@
 // the paper's partial evaluation through the shared machine runtime.
 //
 // The generated simulator implements the engine surface of the interpreted
-// machines itself (batch.CheckpointStepper: chunked StepTo, StepToRetired,
+// machines itself (batch.Sim: chunked StepTo, StepToRetired,
 // DrainBoundary, Checkpoint/Restore at drained boundaries; obsv trace and
 // profile attachment), so it takes one row in internal/diffrun and is exercised
 // by the conformance matrix, differential fuzzer and checkpoint suites

@@ -560,7 +560,4 @@ func (s *Sim) EnableProfile() *obsv.StallProfile {
 	return s.prof
 }
 
-var (
-	_ batch.CheckpointStepper = (*Sim)(nil)
-	_ obsv.Instrumentable     = (*Sim)(nil)
-)
+var _ batch.Sim = (*Sim)(nil)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -310,6 +311,57 @@ func TestRunnerDeterministicAgainstStub(t *testing.T) {
 	}
 	if !strings.Contains(string(a), `"schema": "rcpn-load/v1"`) {
 		t.Fatalf("report missing schema tag:\n%s", a)
+	}
+}
+
+// oversleepClock stands still except in Sleep, which wakes lag late: a
+// runner whose timer fires late sends its submissions after they were due.
+type oversleepClock struct {
+	mu  sync.Mutex
+	at  time.Time
+	lag time.Duration
+}
+
+func (c *oversleepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.at
+}
+
+func (c *oversleepClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.at = c.at.Add(d + c.lag)
+}
+
+// TestRunnerLatencyIncludesLag: job latency runs from each job's due time,
+// so a late send shows in the report. The first sleep oversleeps by 40ms;
+// every later job is due within a few ms of the first and goes out at once,
+// so each accepted job's latency is at least 40ms minus the schedule's
+// span, although the stub answers instantly on a clock that stands still.
+func TestRunnerLatencyIncludesLag(t *testing.T) {
+	srv := stubServer(t)
+	defer srv.Close()
+	const lag = 40 * time.Millisecond
+	ld, err := New(Config{
+		Target: srv.URL, Seed: 11, Jobs: 5, Rate: 1000, Arrival: ArrivalUniform,
+		Clock:  &oversleepClock{at: time.Unix(1_700_000_000, 0), lag: lag},
+		Client: srv.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := ld.Schedule()
+	floor := lag - (sched[len(sched)-1] - sched[0])
+	rep, err := ld.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted == 0 {
+		t.Fatalf("no job accepted: %+v", rep)
+	}
+	if want := float64(floor) / float64(time.Millisecond); rep.Latency.Mean < want || rep.Latency.Max < want {
+		t.Fatalf("latency %+v leaves out the %v send lag (want >= %.3fms)", rep.Latency, lag, want)
 	}
 }
 

@@ -90,7 +90,7 @@ type Runner struct {
 	picks    []int // submission i sends corpus[picks[i]]
 
 	mu        sync.Mutex
-	latency   Histogram // submit → terminal, µs
+	latency   Histogram // due time → terminal, µs
 	submitLat Histogram // POST round trip, µs
 	cycles    map[string]int64
 	rep       Report
@@ -135,14 +135,15 @@ func (ld *Runner) Run(ctx context.Context) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if d := start.Add(off).Sub(clock.Now()); d > 0 {
+		due := start.Add(off)
+		if d := due.Sub(clock.Now()); d > 0 {
 			clock.Sleep(d)
 		}
 		job := ld.corpus[ld.picks[i]]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ld.submit(ctx, job, deadlineOf())
+			ld.submit(ctx, job, due, deadlineOf())
 		}()
 	}
 	wg.Wait()
@@ -195,9 +196,16 @@ type resultCycles struct {
 }
 
 // submit POSTs one job and, when accepted, polls it to a terminal state.
-func (ld *Runner) submit(ctx context.Context, job Job, deadline time.Time) {
+// The job's latency runs from its due time, so a submission the runner sent
+// late (an overslept timer, a starved goroutine) carries its lag instead of
+// hiding it. Only a clock that stands still (tests) sends before the due
+// time; the latency then runs from the send.
+func (ld *Runner) submit(ctx context.Context, job Job, due, deadline time.Time) {
 	clock := ld.cfg.Clock
 	t0 := clock.Now()
+	if t0.Before(due) {
+		due = t0
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		ld.cfg.Target+"/v1/jobs", bytes.NewReader(job.Body))
 	if err != nil {
@@ -248,16 +256,16 @@ func (ld *Runner) submit(ctx context.Context, job Job, deadline time.Time) {
 			r.Coalesced++
 		}
 	})
-	ld.await(ctx, sub.ID, t0, deadline)
+	ld.await(ctx, sub.ID, due, deadline)
 }
 
 // await polls one accepted job to its terminal state.
-func (ld *Runner) await(ctx context.Context, id string, t0 time.Time, deadline time.Time) {
+func (ld *Runner) await(ctx context.Context, id string, due, deadline time.Time) {
 	clock := ld.cfg.Clock
 	for {
 		st, ok := ld.getJob(ctx, id)
 		if ok && (st.State == "done" || st.State == "failed") {
-			lat := clock.Now().Sub(t0).Microseconds()
+			lat := clock.Now().Sub(due).Microseconds()
 			var rc resultCycles
 			_ = json.Unmarshal(st.Result, &rc)
 			ld.mu.Lock()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -127,6 +128,36 @@ func TestOneCacheSpecMatchesTwoCacheSpec(t *testing.T) {
 					t.Errorf("%s: override did not change the cycle count", one.Canonical())
 				}
 			}
+		}
+	}
+}
+
+// TestFailurePayloadsPinned: a max_cycles-limited job fails with a
+// deterministic, cacheable payload (error text and partial counters), so
+// its bytes are pinned like a success's: plain, checkpointed, and
+// time-parallel in both stitch modes.
+func TestFailurePayloadsPinned(t *testing.T) {
+	pinned := []struct{ spec, sha string }{
+		{`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":30000}`,
+			"09b187a0b48f88e99547511198800de16e3f8e45c5106e10a5dd5bce8051b273"},
+		{`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":30000,"checkpoint_interval":5000}`,
+			"614394bf5ce2949bcd5b5b828165e3789dbf0f3a395d5ed3629511a8b35997e0"},
+		{`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":30000,"parallelism":2}`,
+			"ddf0014bbbab4c336f9d39b9306ed482eb6dad5d8a0ebd9dd5e9a216a872c4ab"},
+		{`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":30000,"parallelism":2,"parallel_mode":"sampled"}`,
+			"ddf0014bbbab4c336f9d39b9306ed482eb6dad5d8a0ebd9dd5e9a216a872c4ab"},
+	}
+	s, hs := newTestServer(t, Config{Workers: 1})
+	for _, p := range pinned {
+		r := submit(t, hs.URL, p.spec)
+		waitState(t, hs.URL, r.ID)
+		state, payload, _ := s.lookup(r.ID).snapshot()
+		if state != StateFailed {
+			t.Errorf("%s: state %s, want %s:\n%s", p.spec, state, StateFailed, payload)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != p.sha {
+			t.Errorf("%s: payload sha256 %s, pinned %s:\n%s", p.spec, got, p.sha, payload)
 		}
 	}
 }

@@ -254,7 +254,7 @@ func TestQuotaRefill(t *testing.T) {
 func TestPrioritySubmission(t *testing.T) {
 	release := make(chan struct{})
 	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	s.buildOverride = func(*JobSpec) (batch.Stepper, error) {
+	s.buildOverride = func(*JobSpec) (batch.Sim, error) {
 		return &blockingStepper{release: release}, nil
 	}
 

@@ -335,7 +335,7 @@ func TestPendingJobSurvivesRestart(t *testing.T) {
 	cfg := durableConfig(t, dir)
 	cfg.Workers = 1
 	s1, hs1 := newTestServer(t, cfg)
-	s1.buildOverride = func(*JobSpec) (batch.Stepper, error) { return &endlessStepper{}, nil }
+	s1.buildOverride = func(*JobSpec) (batch.Sim, error) { return &endlessStepper{}, nil }
 	r := submit(t, hs1.URL, crcSpec)
 	deadline := time.Now().Add(5 * time.Second)
 	for metric(t, hs1.URL, `rcpn_jobs{state="running"}`) != 1 {
@@ -365,7 +365,7 @@ func TestPendingJobSurvivesRestart(t *testing.T) {
 func TestSSESubscriberReleased(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, SSEInterval: time.Millisecond})
 	defer func() { hs.Close(); s.Drain(0) }()
-	s.buildOverride = func(*JobSpec) (batch.Stepper, error) { return &endlessStepper{}, nil }
+	s.buildOverride = func(*JobSpec) (batch.Sim, error) { return &endlessStepper{}, nil }
 	r := submit(t, hs.URL, specN(1))
 
 	const clients = 4

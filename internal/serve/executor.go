@@ -15,178 +15,203 @@ import (
 
 // This file is the spec executor: everything between "a parsed JobSpec"
 // and "final batch.Metrics", with no knowledge of HTTP, the job table, or
-// the durable store. The Server drives it for local jobs; a shard worker
-// drives the exact same code through ExecuteSpec, which is what makes a
-// remotely computed result byte-identical to a local one — there is only
-// one execution path to be identical to.
+// the durable store. The Server runs its local jobs through ExecuteSpec and
+// a shard worker runs its dispatched ones through the same call, which is
+// what makes a remotely computed result byte-identical to a local one —
+// there is only one execution path to be identical to.
 
-// execEnv is the executor's view of its host: build override, limits,
-// progress/observability sinks, and the checkpoint save/load hooks. Every
-// callback may be nil except build.
-type execEnv struct {
-	build     func(*JobSpec) (batch.Stepper, error)
-	maxCycles int64 // cap applied when the spec leaves max_cycles unset
-	chunk     int64
-	fault     *faultinj.Injector
-	logf      func(format string, args ...any)
-	name      string // short job label for log lines
+// ExecOptions configures ExecuteSpec: the host's limits, its progress and
+// observability sinks, and its checkpoint store. The zero value matches the
+// Server's defaults, which is what byte-identity requires: a worker must
+// run a spec under the same cycle cap a coordinator-local run would use.
+// Every callback may be nil.
+type ExecOptions struct {
+	// MaxCycles is the host's cycle cap (default 1<<32, the Server
+	// default). A job runs under the smaller of it and the spec's
+	// max_cycles.
+	MaxCycles int64
+	// Chunk is the burst length between context checks and progress
+	// reports (default batch.DefaultChunk).
+	Chunk int64
+	// Fault arms deterministic fault injection. Nil is inert.
+	Fault *faultinj.Injector
+	// Logf receives executor log lines (default: discarded).
+	Logf func(format string, args ...any)
+	// Progress receives live counters at every chunk boundary.
+	Progress func(cycles int64, instret uint64)
+	// Stalls receives chunk-boundary stall-profile snapshots of a profiled
+	// job (what a crashed attempt salvages) and the final one.
+	Stalls func(*obsv.StallSnapshot)
+	// Build replaces JobSpec.Build (tests).
+	Build func(*JobSpec) (batch.Sim, error)
 
-	// progress receives live counters at every chunk boundary.
-	progress func(cycles int64, instret uint64)
-	// stalls receives chunk-boundary stall-profile snapshots of a
-	// profiled job (what a crashed attempt salvages) and the final one.
-	stalls func(*obsv.StallSnapshot)
-	// trace receives the rendered Chrome trace JSON of a traced job at
-	// the end of the run.
-	trace func(json []byte)
-
-	// Checkpoint hooks. loadCkpt yields the latest checkpoint to resume
-	// from (nil: always start from scratch); saveCkpt persists one
-	// (nil: checkpoints are produced and discarded — the deterministic
-	// boundary drains still happen, so cycle counts never depend on
-	// whether anyone is saving). discardCkpt abandons an unusable
-	// checkpoint; onResume observes a successful restore.
-	loadCkpt    func() (raw []byte, instret uint64, cycles int64, ok bool)
-	saveCkpt    func(instret uint64, cycles int64, raw []byte)
-	discardCkpt func(why string)
-	onResume    func()
+	// Checkpoint hooks. LoadCkpt yields the latest checkpoint to resume
+	// from (nil: always start from scratch); SaveCkpt persists one (nil:
+	// checkpoints are produced and discarded — the deterministic boundary
+	// drains still happen, so cycle counts never depend on whether anyone
+	// is saving). DiscardCkpt abandons an unusable checkpoint (nil: log
+	// and restart); OnResume observes a successful restore.
+	LoadCkpt    func() (raw []byte, instret uint64, cycles int64, ok bool)
+	SaveCkpt    func(instret uint64, cycles int64, raw []byte)
+	DiscardCkpt func(why string)
+	OnResume    func()
 }
 
-func (env *execEnv) logff(format string, args ...any) {
-	if env.logf != nil {
-		env.logf(format, args...)
+func (o *ExecOptions) logf(format string, args ...any) {
+	if o.Logf != nil {
+		o.Logf(format, args...)
 	}
 }
 
-func (env *execEnv) setProgress(c int64, i uint64) {
-	if env.progress != nil {
-		env.progress(c, i)
+func (o *ExecOptions) progress(c int64, i uint64) {
+	if o.Progress != nil {
+		o.Progress(c, i)
 	}
 }
 
-func (env *execEnv) discard(why string) {
-	if env.discardCkpt != nil {
-		env.discardCkpt(why)
-		return
+// ExecuteSpec runs one parsed spec to completion under ctx and returns the
+// final metrics and, for traced specs, the rendered Chrome trace JSON.
+// Checkpointing specs resume from LoadCkpt when it has something; parallel
+// specs (parallelism > 1) run through internal/tpar. Without SaveCkpt (a
+// shard worker) checkpoints are produced at the spec's deterministic
+// boundaries but not persisted — a worker that dies mid-job loses the
+// attempt, and the coordinator's reassignment re-runs the spec from
+// scratch, which yields the same bytes because execution is deterministic.
+func ExecuteSpec(ctx context.Context, spec *JobSpec, opt ExecOptions) (metrics batch.Metrics, trace []byte, err error) {
+	if opt.MaxCycles <= 0 {
+		opt.MaxCycles = 1 << 32
 	}
-	env.logff("job %s restarting from scratch: %s", env.name, why)
-}
-
-// runSpec executes one spec to completion under ctx. Checkpointing specs
-// run under DriveCkpt and resume from env.loadCkpt when it has something;
-// parallel specs (parallelism > 1) run through internal/tpar.
-func runSpec(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics, error) {
+	if spec.MaxCycles > 0 && spec.MaxCycles < opt.MaxCycles {
+		opt.MaxCycles = spec.MaxCycles
+	}
+	if opt.Build == nil {
+		opt.Build = (*JobSpec).Build
+	}
+	if logf := opt.Logf; logf != nil {
+		name := shortID(spec.ID())
+		opt.Logf = func(format string, args ...any) {
+			logf("job %s "+format, append([]any{name}, args...)...)
+		}
+	}
 	if spec.Parallelism > 1 {
-		return runParallel(ctx, spec, env)
+		metrics, err = runParallel(ctx, spec, &opt)
+		return metrics, nil, err
 	}
-	st, err := env.build(spec)
+	return runSpec(ctx, spec, &opt)
+}
+
+// runSpec runs a serial spec through batch.Drive, draining and
+// checkpointing every checkpoint_interval retired instructions.
+func runSpec(ctx context.Context, spec *JobSpec, opt *ExecOptions) (batch.Metrics, []byte, error) {
+	st, err := opt.Build(spec)
 	if err != nil {
-		return batch.Metrics{}, err
+		return batch.Metrics{}, nil, err
 	}
 	var prof *obsv.StallProfile
 	var tr *obsv.Tracer
-	if ins, ok := st.(obsv.Instrumentable); ok {
-		if spec.Profile {
-			prof = ins.EnableProfile()
-		}
-		if spec.TraceEvents > 0 {
-			tr = obsv.NewTracer(spec.TraceEvents)
-			ins.AttachTrace(tr)
-		}
+	if spec.Profile {
+		prof = st.EnableProfile()
 	}
-	limit := spec.MaxCycles
-	if limit <= 0 {
-		limit = env.maxCycles
+	if spec.TraceEvents > 0 {
+		tr = obsv.NewTracer(spec.TraceEvents)
+		st.AttachTrace(tr)
 	}
 	onProgress := func(c int64, i uint64) {
-		env.setProgress(c, i)
-		if prof != nil && env.stalls != nil {
+		opt.progress(c, i)
+		if prof != nil && opt.Stalls != nil {
 			// Chunk-boundary snapshot: what a crashed attempt salvages.
 			// Called on the job goroutine between chunks, so the profile is
 			// quiescent here.
-			env.stalls(prof.Snapshot())
+			opt.Stalls(prof.Snapshot())
 		}
 	}
-	// finished packages the terminal measurements: the final stall snapshot
-	// rides in the metrics (and into the report), the rendered trace goes to
-	// the host's sink.
-	finished := func(c int64, i uint64) batch.Metrics {
-		m := batch.Metrics{Cycles: c, Instret: i}
-		if prof != nil {
-			m.Stalls = prof.Snapshot()
-			if env.stalls != nil {
-				env.stalls(m.Stalls)
-			}
-		}
-		if tr != nil && env.trace != nil {
-			var buf bytes.Buffer
-			if werr := tr.WriteChromeJSON(&buf); werr == nil {
-				env.trace(buf.Bytes())
-			}
-		}
-		return m
+	if spec.CheckpointInterval > 0 {
+		st = opt.resume(st, prof, onProgress)
 	}
+	err = batch.Drive(ctx, st, opt.MaxCycles, opt.Chunk, spec.CheckpointInterval,
+		opt.sink(st, prof), onProgress)
 
-	if cs, ok := st.(batch.CheckpointStepper); ok && spec.CheckpointInterval > 0 {
-		driver := batch.CheckpointStepper(cs)
-		if raw, instret, cycles, found := env.load(); found {
-			snap, raw := obsv.SplitStalls(raw)
-			switch ck, cerr := ckpt.FromBytes(raw); {
-			case cerr != nil:
-				env.discard(fmt.Sprintf("checkpoint does not decode: %v", cerr))
-			default:
-				if rerr := cs.Restore(ck); rerr != nil {
-					env.discard(fmt.Sprintf("checkpoint does not restore: %v", rerr))
-				} else {
-					if prof != nil {
-						if merr := prof.Merge(snap); merr != nil {
-							// The finished profile will only cover the resumed
-							// portion; the run itself is unaffected.
-							env.logff("job %s checkpoint stall accounting unusable: %v",
-								env.name, merr)
-						}
-					}
-					driver = batch.Resumed(cs, cycles)
-					onProgress(cycles, instret)
-					if env.onResume != nil {
-						env.onResume()
-					}
-					env.logff("job %s resuming from checkpoint at %d retired instructions",
-						env.name, instret)
-				}
-			}
-		}
-		err = batch.DriveCkpt(ctx, driver, limit, env.chunk, spec.CheckpointInterval,
-			env.sink(prof), onProgress)
-		c, i := driver.Progress()
-		onProgress(c, i)
-		return finished(c, i), err
-	}
-
-	err = batch.Drive(ctx, st, limit, env.chunk, onProgress)
+	// The terminal measurements: the final stall snapshot rides in the
+	// metrics (and into the report), the rendered trace is returned.
 	c, i := st.Progress()
 	onProgress(c, i)
-	return finished(c, i), err
-}
-
-func (env *execEnv) load() (raw []byte, instret uint64, cycles int64, ok bool) {
-	if env.loadCkpt == nil {
-		return nil, 0, 0, false
+	m := batch.Metrics{Cycles: c, Instret: i}
+	if prof != nil {
+		m.Stalls = prof.Snapshot()
+		if opt.Stalls != nil {
+			opt.Stalls(m.Stalls)
+		}
 	}
-	return env.loadCkpt()
+	var trace []byte
+	if tr != nil {
+		var buf bytes.Buffer
+		if werr := tr.WriteChromeJSON(&buf); werr == nil {
+			trace = buf.Bytes()
+		}
+	}
+	return m, trace, err
 }
 
-// sink encodes each periodic checkpoint and hands it to the host. The
-// worker.panic fault site fires first — before the checkpoint is saved —
-// so an injected crash loses the current boundary exactly like a real one.
-func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
-	return func(instret uint64, cycles int64, ck *ckpt.Checkpoint) error {
-		if err := env.fault.Hit(faultinj.SiteWorkerPanic, instret); err != nil {
+// resume restores the checkpoint LoadCkpt offers into the freshly built st
+// and returns the simulator to drive: st wrapped to continue the donor
+// run's cycle count, or st itself when there is nothing usable.
+func (o *ExecOptions) resume(st batch.Sim, prof *obsv.StallProfile, onProgress func(int64, uint64)) batch.Sim {
+	if o.LoadCkpt == nil {
+		return st
+	}
+	raw, instret, cycles, found := o.LoadCkpt()
+	if !found {
+		return st
+	}
+	snap, raw := obsv.SplitStalls(raw)
+	ck, err := ckpt.FromBytes(raw)
+	if err != nil {
+		o.discard(fmt.Sprintf("checkpoint does not decode: %v", err))
+		return st
+	}
+	if err := st.Restore(ck); err != nil {
+		o.discard(fmt.Sprintf("checkpoint does not restore: %v", err))
+		return st
+	}
+	if prof != nil {
+		if err := prof.Merge(snap); err != nil {
+			// The finished profile will only cover the resumed portion; the
+			// run itself is unaffected.
+			o.logf("checkpoint stall accounting unusable: %v", err)
+		}
+	}
+	onProgress(cycles, instret)
+	if o.OnResume != nil {
+		o.OnResume()
+	}
+	o.logf("resuming from checkpoint at %d retired instructions", instret)
+	return batch.Resumed(st, cycles)
+}
+
+func (o *ExecOptions) discard(why string) {
+	if o.DiscardCkpt != nil {
+		o.DiscardCkpt(why)
+		return
+	}
+	o.logf("restarting from scratch: %s", why)
+}
+
+// sink is the checkpointing boundary hook: it captures the drained state,
+// encodes it and hands it to SaveCkpt. The worker.panic fault site fires
+// before the checkpoint is saved, so an injected crash loses the current
+// boundary exactly like a real one.
+func (o *ExecOptions) sink(st batch.Sim, prof *obsv.StallProfile) func(cycles int64, instret uint64) error {
+	return func(cycles int64, instret uint64) error {
+		ck, err := st.Checkpoint()
+		if err != nil {
+			return err
+		}
+		if err := o.Fault.Hit(faultinj.SiteWorkerPanic, instret); err != nil {
 			return err
 		}
 		raw, err := ck.Bytes()
 		if err != nil {
-			env.logff("job %s checkpoint did not encode (skipped): %v", env.name, err)
+			o.logf("checkpoint did not encode (skipped): %v", err)
 			return nil
 		}
 		if prof != nil {
@@ -196,20 +221,19 @@ func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
 			// is what keeps resumed profiled results byte-identical.
 			raw = obsv.WrapStalls(prof.Snapshot(), raw)
 		}
-		if env.saveCkpt != nil {
-			env.saveCkpt(instret, cycles, raw)
+		if o.SaveCkpt != nil {
+			o.SaveCkpt(instret, cycles, raw)
 		}
 		return nil
 	}
 }
 
-// runParallel runs a parallelism > 1 job through internal/tpar, wrapped in
-// a tpar.Stepper so the ordinary batch.Drive progress loop — and with it
-// SSE streams, /v1/jobs polling and the durable result path — works
-// unchanged. The stitched result is a pure function of the spec: segment
-// count and stitch mode are in the content address, worker count and
-// injected crashes are not and must not show in the result bytes.
-func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics, error) {
+// runParallel runs a parallelism > 1 job through internal/tpar, which
+// reports cumulative progress itself. The stitched result is a pure
+// function of the spec: segment count and stitch mode are in the content
+// address, worker count and injected crashes are not and must not show in
+// the result bytes.
+func runParallel(ctx context.Context, spec *JobSpec, opt *ExecOptions) (batch.Metrics, error) {
 	p, err := spec.program()
 	if err != nil {
 		return batch.Metrics{}, err
@@ -222,44 +246,26 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 	if err != nil {
 		return batch.Metrics{}, err
 	}
-	segBuild := func() (batch.CheckpointStepper, func() diffrun.State, error) {
-		st, err := env.build(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		cs, ok := st.(batch.CheckpointStepper)
-		if !ok {
-			return nil, nil, fmt.Errorf("simulator %q cannot run time-parallel: no checkpoint support", spec.Simulator)
-		}
-		return cs, nil, nil
+	segBuild := func() (batch.Sim, func() diffrun.State, error) {
+		st, err := opt.Build(spec)
+		return st, nil, err
 	}
-	limit := spec.MaxCycles
-	if limit <= 0 {
-		limit = env.maxCycles
-	}
-	opt := tpar.Options{
+	res, err := tpar.Run(p, segBuild, tpar.Options{
 		Segments: spec.Parallelism,
 		Workers:  spec.Parallelism,
 		Mode:     mode,
 		Warm:     warm,
-		// max_cycles bounds each segment worker's position (a runaway
+		// The cycle cap bounds each segment worker's position (a runaway
 		// segment is what a hang looks like here); the serial-equivalent
 		// total is bounded by Parallelism times this.
-		PosBudget: limit,
-		Chunk:     env.chunk,
+		PosBudget: opt.MaxCycles,
+		Chunk:     opt.Chunk,
 		Context:   ctx,
+		Progress:  opt.Progress,
 		Profile:   spec.Profile,
-		Fault:     env.fault,
-		Logf: func(format string, args ...any) {
-			env.logff("job %s "+format, append([]any{env.name}, args...)...)
-		},
-	}
-	st := tpar.NewStepper(p, segBuild, opt)
-	err = batch.Drive(ctx, st, 0, env.chunk, env.setProgress)
-	if err != nil {
-		return batch.Metrics{}, err
-	}
-	res, err := st.Result()
+		Fault:     opt.Fault,
+		Logf:      opt.Logf,
+	})
 	if err != nil {
 		return batch.Metrics{}, err
 	}
@@ -279,57 +285,12 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 	if res.Mode == tpar.Sampled {
 		m.Extra["err_bound_pct"] = res.ErrBoundPct
 	}
-	env.setProgress(res.Cycles, res.Instret)
-	if res.Stalls != nil && env.stalls != nil {
-		env.stalls(res.Stalls)
+	// Cumulative progress counts re-run segments too; snap it to the
+	// stitched totals so the final numbers a host records are the
+	// deterministic ones.
+	opt.progress(res.Cycles, res.Instret)
+	if res.Stalls != nil && opt.Stalls != nil {
+		opt.Stalls(res.Stalls)
 	}
 	return m, nil
-}
-
-// ExecOptions configures ExecuteSpec. The zero value matches the Server's
-// defaults, which is what byte-identity requires: a worker must run a spec
-// under the same cycle cap a coordinator-local run would use.
-type ExecOptions struct {
-	// MaxCycles caps specs that leave max_cycles unset (default 1<<32,
-	// the Server default).
-	MaxCycles int64
-	// Chunk is the Drive burst length (default batch.DefaultChunk).
-	Chunk int64
-	// Fault arms deterministic fault injection. Nil is inert.
-	Fault *faultinj.Injector
-	// Logf receives executor log lines (default: discarded).
-	Logf func(format string, args ...any)
-	// Progress receives live counters at every chunk boundary.
-	Progress func(cycles int64, instret uint64)
-	// Build replaces JobSpec.Build (tests).
-	Build func(*JobSpec) (batch.Stepper, error)
-}
-
-// ExecuteSpec runs one parsed spec to completion exactly as a Server would
-// run it locally, and is the shard worker's execution entry point. It
-// returns the final metrics and, for traced specs, the rendered Chrome
-// trace JSON. Checkpoints are produced at the spec's deterministic
-// boundaries but not persisted — a worker that dies mid-job loses the
-// attempt, and the coordinator's reassignment re-runs the spec from
-// scratch, which yields the same bytes because execution is deterministic.
-func ExecuteSpec(ctx context.Context, spec *JobSpec, opt ExecOptions) (metrics batch.Metrics, trace []byte, err error) {
-	if opt.MaxCycles <= 0 {
-		opt.MaxCycles = 1 << 32
-	}
-	build := opt.Build
-	if build == nil {
-		build = func(sp *JobSpec) (batch.Stepper, error) { return sp.Build() }
-	}
-	env := execEnv{
-		build:     build,
-		maxCycles: opt.MaxCycles,
-		chunk:     opt.Chunk,
-		fault:     opt.Fault,
-		logf:      opt.Logf,
-		name:      shortID(spec.ID()),
-		progress:  opt.Progress,
-		trace:     func(b []byte) { trace = b },
-	}
-	metrics, err = runSpec(ctx, spec, env)
-	return metrics, trace, err
 }

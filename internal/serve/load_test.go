@@ -14,6 +14,7 @@ import (
 // orderStepper finishes instantly and records its tag in a shared slice, so
 // a test can observe the exact order the worker executed its backlog.
 type orderStepper struct {
+	batch.Sim
 	tag   int
 	mu    *sync.Mutex
 	order *[]int
@@ -56,7 +57,7 @@ func TestPrioritySaturation(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: depth})
-	s.buildOverride = func(spec *JobSpec) (batch.Stepper, error) {
+	s.buildOverride = func(spec *JobSpec) (batch.Sim, error) {
 		if spec.Scale == 1 {
 			return &blockingStepper{release: release}, nil
 		}

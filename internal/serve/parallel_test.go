@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,5 +135,44 @@ func TestParallelSampledJob(t *testing.T) {
 	}
 	if extra["adopted"] != extra["segments"] {
 		t.Errorf("sampled mode must adopt every segment: %v", extra)
+	}
+}
+
+// TestParallelProgressMonotonic: a parallel job's live progress, reported
+// from concurrent segment workers, never decreases, and the last report
+// snaps to the stitched result the job returns.
+func TestParallelProgressMonotonic(t *testing.T) {
+	spec, err := ParseSpec(strings.NewReader(`{"simulator":"pipe5","kernel":"crc","parallelism":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		c int64
+		i uint64
+	}
+	var mu sync.Mutex
+	var seen []point
+	m, _, err := ExecuteSpec(context.Background(), spec, ExecOptions{
+		Chunk: 4096,
+		Progress: func(c int64, i uint64) {
+			mu.Lock()
+			seen = append(seen, point{c, i})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) < 3 {
+		t.Fatalf("only %d progress reports", len(seen))
+	}
+	live := seen[:len(seen)-1]
+	for k := 1; k < len(live); k++ {
+		if live[k].c < live[k-1].c || live[k].i < live[k-1].i {
+			t.Fatalf("progress went backwards at report %d: %+v after %+v", k, live[k], live[k-1])
+		}
+	}
+	if last := seen[len(seen)-1]; last != (point{m.Cycles, m.Instret}) {
+		t.Errorf("final progress %+v did not snap to the stitched result (%d, %d)", last, m.Cycles, m.Instret)
 	}
 }

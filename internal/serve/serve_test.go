@@ -238,8 +238,12 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
+// The fake simulators below embed batch.Sim for the methods a plain,
+// unprofiled job never calls: Pos, Progress and StepTo are all it uses.
+
 // blockingStepper parks until released, then finishes instantly.
 type blockingStepper struct {
+	batch.Sim
 	release <-chan struct{}
 	pos     int64
 }
@@ -253,7 +257,10 @@ func (b *blockingStepper) StepTo(limit int64) (bool, error) {
 }
 
 // endlessStepper advances forever; only Drive's context checks stop it.
-type endlessStepper struct{ pos int64 }
+type endlessStepper struct {
+	batch.Sim
+	pos int64
+}
 
 func (e *endlessStepper) Pos() int64                { return e.pos }
 func (e *endlessStepper) Progress() (int64, uint64) { return e.pos, uint64(e.pos) }
@@ -275,7 +282,7 @@ func specN(n int) string {
 func TestBackpressure429(t *testing.T) {
 	release := make(chan struct{})
 	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	s.buildOverride = func(*JobSpec) (batch.Stepper, error) {
+	s.buildOverride = func(*JobSpec) (batch.Sim, error) {
 		return &blockingStepper{release: release}, nil
 	}
 
@@ -406,7 +413,7 @@ func TestSSEProgress(t *testing.T) {
 // and recorded as a transient failure, and Drain returns.
 func TestDrain(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	s.buildOverride = func(*JobSpec) (batch.Stepper, error) { return &endlessStepper{}, nil }
+	s.buildOverride = func(*JobSpec) (batch.Sim, error) { return &endlessStepper{}, nil }
 
 	r := submit(t, hs.URL, specN(1))
 	deadline := time.Now().Add(5 * time.Second)
@@ -473,7 +480,7 @@ func TestDrain(t *testing.T) {
 // cache — resubmitting the spec after the failure re-runs it.
 func TestTransientFailureRetries(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1})
-	s.buildOverride = func(*JobSpec) (batch.Stepper, error) { return &endlessStepper{}, nil }
+	s.buildOverride = func(*JobSpec) (batch.Sim, error) { return &endlessStepper{}, nil }
 	r := submit(t, hs.URL, specN(1))
 	deadline := time.Now().Add(5 * time.Second)
 	for metric(t, hs.URL, `rcpn_jobs{state="running"}`) != 1 {
@@ -568,5 +575,32 @@ func TestUnknownJob404(t *testing.T) {
 	}
 	if code, _ := get(t, hs.URL+"/v1/jobs/"+strings.Repeat("0", 64)+"/events"); code != http.StatusNotFound {
 		t.Fatalf("GET unknown job events = %d", code)
+	}
+}
+
+// TestServerCapBoundsSpecMaxCycles: the server's MaxCycles bounds every
+// job — a spec asking for more runs under the server's cap, plain,
+// checkpointing and time-parallel — and the spec's own content address is
+// untouched by the cap.
+func TestServerCapBoundsSpecMaxCycles(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, MaxCycles: 5000})
+	for _, c := range []struct{ extra, want string }{
+		{``, "batch: cap 5000 exceeded"},
+		{`,"checkpoint_interval":2000`, "batch: cap 5000 exceeded"},
+		{`,"parallelism":2`, "tpar: segment 0: position budget exhausted"},
+	} {
+		spec := fmt.Sprintf(`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":%d%s}`, int64(1)<<40, c.extra)
+		r := submit(t, hs.URL, spec)
+		sp, err := ParseSpec(strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ID != sp.ID() {
+			t.Errorf("%s: server address %s, spec address %s", spec, r.ID, sp.ID())
+		}
+		rec := parallelResult(t, waitState(t, hs.URL, r.ID))
+		if msg, _ := rec["error"].(string); !strings.Contains(msg, c.want) {
+			t.Errorf("%s: error %q, want %q", spec, msg, c.want)
+		}
 	}
 }

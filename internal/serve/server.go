@@ -50,7 +50,8 @@ type Config struct {
 	// JobTimeout is the per-job deadline (default 5m; 0 keeps the default —
 	// a service must not run unbounded jobs, use a large value instead).
 	JobTimeout time.Duration
-	// MaxCycles caps jobs whose spec leaves max_cycles unset (default 1<<32).
+	// MaxCycles caps every job's cycles: a spec's max_cycles applies only
+	// below it (default 1<<32).
 	MaxCycles int64
 	// Chunk is the Drive burst length between cancellation checks and
 	// progress updates (default batch.DefaultChunk).
@@ -213,7 +214,7 @@ type Server struct {
 	quota *quotas
 
 	// buildOverride, when set (tests), replaces JobSpec.Build.
-	buildOverride func(*JobSpec) (batch.Stepper, error)
+	buildOverride func(*JobSpec) (batch.Sim, error)
 
 	// counters; gauges for queued/running, cumulative otherwise.
 	queued    atomic.Int64
@@ -565,9 +566,9 @@ func (s *Server) enqueue(j *job) error {
 // execute is the job body, run on a pool worker under the server's hard
 // context and the per-job deadline. With a Dispatcher configured the job
 // runs on a remote shard worker (falling back to local execution while the
-// ring is empty); locally, checkpointing jobs (spec sets
-// checkpoint_interval) run under DriveCkpt and, when a checkpoint exists —
-// in memory from an earlier attempt, or on disk from a previous process —
+// ring is empty); locally it runs through ExecuteSpec, and checkpointing
+// jobs (spec sets checkpoint_interval), when a checkpoint exists — in
+// memory from an earlier attempt, or on disk from a previous process —
 // restore it and resume instead of restarting.
 func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 	j.mu.Lock()
@@ -587,37 +588,27 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 		}
 	}
 
-	build := s.buildOverride
-	if build == nil {
-		build = func(spec *JobSpec) (batch.Stepper, error) { return spec.Build() }
-	}
-	env := execEnv{
-		build:     build,
-		maxCycles: s.cfg.MaxCycles,
-		chunk:     s.cfg.Chunk,
-		fault:     s.cfg.Fault,
-		logf:      func(format string, args ...any) { s.logf("serve: "+format, args...) },
-		name:      shortID(j.id),
-		progress: func(c int64, i uint64) {
+	m, trace, err := ExecuteSpec(ctx, &j.spec, ExecOptions{
+		MaxCycles: s.cfg.MaxCycles,
+		Chunk:     s.cfg.Chunk,
+		Fault:     s.cfg.Fault,
+		Logf:      func(format string, args ...any) { s.logf("serve: "+format, args...) },
+		Progress: func(c int64, i uint64) {
 			j.cycles.Store(c)
 			j.instret.Store(i)
 		},
-		stalls: func(snap *obsv.StallSnapshot) {
+		Stalls: func(snap *obsv.StallSnapshot) {
 			j.mu.Lock()
 			j.stalls = snap
 			j.mu.Unlock()
 		},
-		trace: func(b []byte) {
-			j.mu.Lock()
-			j.trace = b
-			j.mu.Unlock()
-		},
-		loadCkpt: func() ([]byte, uint64, int64, bool) { return s.loadCheckpoint(j) },
-		// saveCkpt persists each checkpoint to the job's in-memory slot
+		Build:    s.buildOverride,
+		LoadCkpt: func() ([]byte, uint64, int64, bool) { return s.loadCheckpoint(j) },
+		// SaveCkpt persists each checkpoint to the job's in-memory slot
 		// (same-process retries) and to the store when durable;
 		// persistence failures degrade the server rather than fail the
 		// job.
-		saveCkpt: func(instret uint64, cycles int64, raw []byte) {
+		SaveCkpt: func(instret uint64, cycles int64, raw []byte) {
 			j.mu.Lock()
 			j.ckInstret, j.ckCycles, j.ckRaw = instret, cycles, raw
 			j.mu.Unlock()
@@ -627,10 +618,15 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 				}
 			}
 		},
-		discardCkpt: func(why string) { s.discardCheckpoint(j, why) },
-		onResume:    func() { s.resumes.Add(1) },
+		DiscardCkpt: func(why string) { s.discardCheckpoint(j, why) },
+		OnResume:    func() { s.resumes.Add(1) },
+	})
+	if trace != nil {
+		j.mu.Lock()
+		j.trace = trace
+		j.mu.Unlock()
 	}
-	return runSpec(ctx, &j.spec, env)
+	return m, err
 }
 
 // executeRemote tries the job on the shard ring. handled is false only for

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
@@ -355,7 +356,7 @@ func (s *JobSpec) resolve() (diffrun.Engine, diffrun.Config, error) {
 // Build assembles the program and constructs the simulator. Called on a
 // worker; every failure mode that can be detected cheaply was already
 // rejected at admission by Normalize.
-func (s *JobSpec) Build() (diffrun.Sim, error) {
+func (s *JobSpec) Build() (batch.Sim, error) {
 	e, cfg, err := s.resolve()
 	if err != nil {
 		return nil, err

@@ -467,3 +467,30 @@ func TestShardOrphanAdoption(t *testing.T) {
 			second.Adopted(), second.Executed())
 	}
 }
+
+// TestShardWorkerCapBoundsSpecMaxCycles: a worker applies its own
+// MaxCycles to a spec asking for more, exactly like a local server.
+func TestShardWorkerCapBoundsSpecMaxCycles(t *testing.T) {
+	cl := startCluster(t, serve.Config{}, CoordinatorConfig{}, []WorkerConfig{{MaxCycles: 5000}})
+	id := submitJob(t, cl.hs.URL, fmt.Sprintf(`{"simulator":"strongarm","kernel":"crc","scale":1,"max_cycles":%d}`, int64(1)<<40))
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, data := httpGet(t, cl.hs.URL+"/v1/jobs/"+id)
+		var v struct {
+			State string `json:"state"`
+		}
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.State == serve.StateFailed {
+			if !strings.Contains(string(data), "batch: cap 5000 exceeded") {
+				t.Fatalf("failed without the worker's cap error: %s", data)
+			}
+			return
+		}
+		if v.State == serve.StateDone || time.Now().After(deadline) {
+			t.Fatalf("job ran past the worker's cap: %s", data)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -30,10 +30,11 @@ type WorkerConfig struct {
 	Slots int
 	// JobTimeout is the per-job deadline (default 5m, the serve default).
 	JobTimeout time.Duration
-	// MaxCycles caps specs that leave max_cycles unset (default 1<<32,
-	// the serve default).
+	// MaxCycles caps every job's cycles: a spec's max_cycles applies only
+	// below it (default 1<<32, the serve default).
 	MaxCycles int64
-	// Chunk is the Drive burst length (default batch.DefaultChunk).
+	// Chunk is the burst length between context checks (default
+	// batch.DefaultChunk).
 	Chunk int64
 	// Heartbeat is the ping interval; the connection is considered dead
 	// after Heartbeat×HeartbeatMiss of silence (defaults 2s × 3, matching
@@ -51,7 +52,7 @@ type WorkerConfig struct {
 	// Logf receives connection and job log lines (default: stderr).
 	Logf func(format string, args ...any)
 	// Build replaces JobSpec.Build (tests).
-	Build func(*serve.JobSpec) (batch.Stepper, error)
+	Build func(*serve.JobSpec) (batch.Sim, error)
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {

@@ -18,9 +18,9 @@
 //
 //   - Exact. The reference semantics is the serial segmented run (Serial):
 //     one instance driven with a pipeline drain at every boundary target —
-//     the same self-healing boundary formula as batch.DriveCkpt — so the
-//     reference is a pure function of (program, plan), exactly like a
-//     checkpoint_interval job. The parallel run speculates each segment
+//     the batch.Drive loop a checkpoint_interval job runs, with a boundary
+//     hook that records segments — so the reference is a pure function of
+//     (program, plan), exactly like a checkpoint_interval job. The parallel run speculates each segment
 //     from the leader's warmed checkpoint, then walks the chain: a
 //     speculative segment is adopted only if the confirmed predecessor's
 //     achieved checkpoint is byte-identical to the donor checkpoint the
@@ -101,13 +101,13 @@ func ParseMode(s string) (Mode, error) {
 // Build constructs a fresh instance of the engine under simulation. The
 // state extractor may be nil; when present it is called on the instance
 // that finishes the final segment and its value becomes Result.State.
-type Build func() (batch.CheckpointStepper, func() diffrun.State, error)
+type Build func() (batch.Sim, func() diffrun.State, error)
 
 // EngineBuild adapts a diffrun registry engine to a Build on a fixed
 // program — any registered engine, including generated ones, can run
 // time-parallel with no further wiring.
 func EngineBuild(e diffrun.Engine, p *arm.Program) Build {
-	return func() (batch.CheckpointStepper, func() diffrun.State, error) {
+	return func() (batch.Sim, func() diffrun.State, error) {
 		return e.Build(p)
 	}
 }
@@ -116,11 +116,11 @@ const (
 	// DefaultMinSegment is the smallest segment worth a pipeline drain; the
 	// segment count is clamped so no segment is shorter.
 	DefaultMinSegment = 1024
-	// defaultRetries is how many times a crashed (panicked) segment worker
-	// is reassigned before the failure is reported.
-	defaultRetries = 2
-	// defaultMaxInstrs bounds the leader against runaway programs.
-	defaultMaxInstrs = 1 << 32
+	// retries is how many times a crashed (panicked) segment worker is
+	// reassigned before the failure is reported.
+	retries = 2
+	// maxInstrs bounds the leader against runaway programs.
+	maxInstrs = 1 << 32
 )
 
 // Options configure a time-parallel run.
@@ -141,8 +141,6 @@ type Options struct {
 	// engine's cache geometry and predictor type or segment restores will
 	// fail; nil (cold checkpoints) is always safe.
 	Warm func(c *iss.CPU)
-	// MaxInstrs bounds the leader run (default 1<<32).
-	MaxInstrs uint64
 	// PosBudget bounds each segment worker in its engine's position unit
 	// (cycles, or instructions for functional engines), counted from the
 	// segment's start; 0 derives a generous hang guard from the program
@@ -155,9 +153,10 @@ type Options struct {
 	Chunk int64
 	// Context cancels the run; nil means context.Background().
 	Context context.Context
-	// Progress receives cumulative (cycles, instret) across all segments,
-	// possibly concurrently from several workers. Because re-run segments
-	// also simulate, the cumulative totals can exceed the stitched result.
+	// Progress receives cumulative (cycles, instret) across all segments.
+	// Calls are serialized and the totals never decrease, although workers
+	// report from their own goroutines. Because re-run segments also
+	// simulate, the cumulative totals can exceed the stitched result.
 	Progress func(cycles int64, instret uint64)
 	// Profile enables per-stage stall attribution on every segment; the
 	// merged snapshot lands in Result.Stalls.
@@ -165,9 +164,6 @@ type Options struct {
 	// Fault arms deterministic fault injection at the tpar.segment site.
 	// Nil is inert.
 	Fault *faultinj.Injector
-	// Retries caps reassignments of a crashed segment worker (0: default 2,
-	// negative: none).
-	Retries int
 	// Logf receives clamp warnings and convergence notes (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -203,10 +199,6 @@ type Plan struct {
 // opt.Segments segments, clamping so no segment is shorter than
 // MinSegment. The plan is engine-independent: any engine can run it.
 func NewPlan(p *arm.Program, opt Options) (*Plan, error) {
-	maxInstrs := opt.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = defaultMaxInstrs
-	}
 	c := iss.New(p, 0)
 	c.MaxInstrs = maxInstrs
 	if err := c.Run(); err != nil {
@@ -386,10 +378,7 @@ func leaderCheckpoints(p *arm.Program, plan *Plan, opt Options) ([]*ckpt.Checkpo
 		return cks, raws, nil
 	}
 	c := iss.New(p, 0)
-	c.MaxInstrs = opt.MaxInstrs
-	if c.MaxInstrs == 0 {
-		c.MaxInstrs = defaultMaxInstrs
-	}
+	c.MaxInstrs = maxInstrs
 	if opt.Warm != nil {
 		opt.Warm(c)
 	}
@@ -443,17 +432,21 @@ type runner struct {
 	build      Build
 	ctx        context.Context
 	pool       *batch.Pool
-	progC      atomic.Int64
-	progI      atomic.Uint64
 	reassigned atomic.Int64
+
+	mu    sync.Mutex // serializes report, so the totals arrive in order
+	progC int64
+	progI uint64
 }
 
 // report accumulates progress deltas across all concurrent segments.
 func (r *runner) report(dc int64, di uint64) {
-	c := r.progC.Add(dc)
-	i := r.progI.Add(di)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.progC += dc
+	r.progI += di
 	if r.opt.Progress != nil {
-		r.opt.Progress(c, i)
+		r.opt.Progress(r.progC, r.progI)
 	}
 }
 
@@ -500,11 +493,7 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 	}
 	var prof *obsv.StallProfile
 	if r.opt.Profile {
-		ins, ok := st.(obsv.Instrumentable)
-		if !ok {
-			return fail(fmt.Errorf("tpar: segment %d: engine is not instrumentable", sj.index))
-		}
-		prof = ins.EnableProfile()
+		prof = st.EnableProfile()
 	}
 	if sj.input != nil {
 		if err := st.Restore(sj.input); err != nil {
@@ -513,41 +502,18 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 	}
 	baseC, baseI := st.Progress()
 	lastC, lastI := baseC, baseI
-	report := func() {
-		c, i := st.Progress()
+	report := func(c int64, i uint64) {
 		r.report(c-lastC, i-lastI)
 		lastC, lastI = c, i
 	}
-	chunk := r.opt.Chunk
-	if chunk <= 0 {
-		chunk = batch.DefaultChunk
-	}
 	posLimit := st.Pos() + r.posBudget()
 	drive := func(target uint64) (bool, error) {
-		for {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			limit := st.Pos() + chunk
-			if limit > posLimit {
-				limit = posLimit
-			}
-			exited, err := st.StepToRetired(target, limit)
-			report()
-			if err != nil {
-				return false, err
-			}
-			if exited {
-				return true, nil
-			}
-			if _, i := st.Progress(); i >= target {
-				return false, nil
-			}
-			if st.Pos() >= posLimit {
-				return false, fmt.Errorf("tpar: segment %d: position budget exhausted before %d retired (engine hang?)",
-					sj.index, target)
-			}
+		exited, err := batch.Advance(ctx, st, target, posLimit, r.opt.Chunk, report)
+		if _, ok := err.(*batch.CapError); ok {
+			err = fmt.Errorf("tpar: segment %d: position budget exhausted before %d retired (engine hang?)",
+				sj.index, target)
 		}
+		return exited, err
 	}
 	exited := false
 	if sj.warmup {
@@ -571,7 +537,7 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 		if err := st.DrainBoundary(); err != nil {
 			return fail(fmt.Errorf("tpar: segment %d: drain: %w", sj.index, err))
 		}
-		report()
+		report(st.Progress())
 		ck, err := st.Checkpoint()
 		if err != nil {
 			return fail(fmt.Errorf("tpar: segment %d: checkpoint: %w", sj.index, err))
@@ -619,12 +585,6 @@ func (s *segResult) bound() {
 // one wg.Done, whether it ran, crashed out of retries, or was refused.
 func (r *runner) dispatch(jobs []segJob) []*segResult {
 	out := make([]*segResult, len(jobs))
-	retries := r.opt.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
 	var wg sync.WaitGroup
 	var submit func(i, attempt int)
 	submit = func(i, attempt int) {
@@ -690,7 +650,7 @@ func (r *runner) rerun(index int, input *ckpt.Checkpoint, start, target uint64) 
 // byte-identical to the leader checkpoint a speculative segment consumed,
 // that segment is adopted — and, by induction, everything it feeds stays
 // adoptable; otherwise the segment re-runs from the corrected checkpoint.
-// The boundary formula matches batch.DriveCkpt, so drain overshoot that
+// The boundary formula matches batch.Drive, so drain overshoot that
 // skips whole boundary multiples shortens the chain exactly as it would a
 // serial checkpointed run.
 func (r *runner) stitchExact(spec []*segResult, leaderRaw [][]byte) (*Result, error) {
@@ -819,28 +779,19 @@ func mergeStalls(snaps []*obsv.StallSnapshot) (*obsv.StallSnapshot, error) {
 	return p.Snapshot(), nil
 }
 
-// Serial is the exact-mode reference: one instance of the engine driven
-// serially with a drain at every boundary target of the plan — precisely
+// Serial is the exact-mode reference: one instance of the engine run by
+// batch.Drive with a drain at every boundary target of the plan — precisely
 // the run a checkpoint_interval job performs, and the run the converged
 // parallel chain must reproduce byte-for-byte (state, cycle count, stall
 // profile).
 func Serial(plan *Plan, build Build, opt Options) (*Result, error) {
-	ctx := opt.context()
 	st, stateFn, err := build()
 	if err != nil {
 		return nil, err
 	}
 	var prof *obsv.StallProfile
 	if opt.Profile {
-		ins, ok := st.(obsv.Instrumentable)
-		if !ok {
-			return nil, fmt.Errorf("tpar: serial: engine is not instrumentable")
-		}
-		prof = ins.EnableProfile()
-	}
-	chunk := opt.Chunk
-	if chunk <= 0 {
-		chunk = batch.DefaultChunk
+		prof = st.EnableProfile()
 	}
 	budget := opt.PosBudget
 	if budget <= 0 {
@@ -849,54 +800,26 @@ func Serial(plan *Plan, build Build, opt Options) (*Result, error) {
 		// PosBudget is per segment; the serial run covers them all.
 		budget *= int64(plan.Segments)
 	}
-	posLimit := st.Pos() + budget
 
 	res := &Result{Mode: Exact, Plan: plan, Workers: 1}
 	lastC, lastI := st.Progress()
-	for {
-		target := (lastI/plan.Interval + 1) * plan.Interval
-		exited := false
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			limit := st.Pos() + chunk
-			if limit > posLimit {
-				limit = posLimit
-			}
-			exited, err = st.StepToRetired(target, limit)
-			if opt.Progress != nil {
-				c, i := st.Progress()
-				opt.Progress(c, i)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if exited {
-				break
-			}
-			if _, i := st.Progress(); i >= target {
-				break
-			}
-			if st.Pos() >= posLimit {
-				return nil, fmt.Errorf("tpar: serial: position budget exhausted before %d retired (engine hang?)", target)
-			}
-		}
-		if !exited {
-			if err := st.DrainBoundary(); err != nil {
-				return nil, err
-			}
-		}
-		c, i := st.Progress()
+	segment := func(c int64, i uint64, exited bool) {
 		res.Segments = append(res.Segments, Segment{
 			Index: len(res.Segments), Start: lastI, End: i,
 			Cycles: c - lastC, Exited: exited,
 		})
 		lastC, lastI = c, i
-		if exited {
-			break
-		}
 	}
+	err = batch.Drive(opt.context(), st, st.Pos()+budget, opt.Chunk, plan.Interval,
+		func(c int64, i uint64) error { segment(c, i, false); return nil }, opt.Progress)
+	if ce, ok := err.(*batch.CapError); ok {
+		return nil, fmt.Errorf("tpar: serial: position budget exhausted before %d retired (engine hang?)", ce.Target)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c, i := st.Progress()
+	segment(c, i, true)
 	res.Cycles, res.Instret = lastC, lastI
 	res.Stalls = prof.Snapshot()
 	if stateFn != nil {

@@ -1,15 +1,12 @@
 package tpar
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
-	"rcpn/internal/batch"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
 	"rcpn/internal/workload"
@@ -285,50 +282,5 @@ func TestKillOutOfRetries(t *testing.T) {
 		})}
 	if _, err := Run(p, EngineBuild(e, p), opt); err == nil {
 		t.Fatal("want error when every attempt crashes")
-	}
-}
-
-// TestStepper drives a parallel run through the batch.Stepper adapter and
-// checks the final numbers match a direct run.
-func TestStepper(t *testing.T) {
-	w := workload.ByName("crc")
-	p, err := w.Program(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: e.Warm(diffrun.Config{}), MinSegment: 64}
-	plan, err := NewPlan(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := RunPlan(p, plan, EngineBuild(e, p), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := NewStepper(p, EngineBuild(e, p), opt)
-	var mu sync.Mutex
-	var lastC int64
-	var lastI uint64
-	err = batch.Drive(context.Background(), st, 0, 4096, func(c int64, i uint64) {
-		mu.Lock()
-		lastC, lastI = c, i
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != direct.Cycles || res.Instret != direct.Instret {
-		t.Errorf("stepper result (%d, %d) != direct (%d, %d)",
-			res.Cycles, res.Instret, direct.Cycles, direct.Instret)
-	}
-	if lastC != res.Cycles || lastI != res.Instret {
-		t.Errorf("final progress (%d, %d) did not snap to stitched (%d, %d)",
-			lastC, lastI, res.Cycles, res.Instret)
 	}
 }

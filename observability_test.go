@@ -36,14 +36,10 @@ func runInstrumented(t *testing.T, e diffrun.Engine, p *arm.Program, cap int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, ok := st.(obsv.Instrumentable)
-	if !ok {
-		t.Fatalf("engine %s stepper is not obsv.Instrumentable", e.Name)
-	}
-	prof = ins.EnableProfile()
+	prof = st.EnableProfile()
 	if cap > 0 {
 		tr = obsv.NewTracer(cap)
-		ins.AttachTrace(tr)
+		st.AttachTrace(tr)
 	}
 	done, err := st.StepTo(noLimit)
 	if err != nil {
